@@ -23,7 +23,10 @@ Two kernels share this contract:
   are stored *flat* inside the bucket list itself (two adjacent slots:
   callback, args) so a ``post`` allocates nothing, and a min-heap of
   occupied bucket times lets the drain cursor jump quiescent cycle
-  spans in O(log b) instead of walking empty buckets one by one.
+  spans in O(log b) instead of walking empty buckets one by one.  A
+  bucket list is created by the first post into its ring slot and
+  reused once drained, so a short run allocates only the buckets it
+  touches.
 * :class:`LegacyScheduler` — the previous object/tuple kernel, kept
   verbatim as the ``REPRO_FLAT_KERNEL=0`` escape hatch and as the
   reference implementation for equivalence tests.
@@ -117,6 +120,11 @@ class Scheduler:
       a cold :meth:`at`/:meth:`after` record is a single
       :class:`Event` slot.  The drain walk tells them apart with one
       class check per record;
+    * a ring slot holds ``None`` until the first record is posted into
+      it (``post``/``post_at``/``at`` or an overflow migration); that
+      post creates the slot's bucket list, and a drained bucket stays
+      in place, emptied, for the slot's next cycle.  Every reader
+      treats ``None`` like an empty bucket;
     * ``_times`` is a min-heap of *sparse* bucket times — targets of
       posts due more than :data:`DENSE_SPAN` cycles out (plus overflow
       migrations).  Dense posts pay nothing; the drain cursor walks at
@@ -169,7 +177,8 @@ class Scheduler:
     def __init__(self, ring_size: int = RING_SIZE) -> None:
         if ring_size <= 0 or ring_size & (ring_size - 1):
             raise SimulationError("ring_size must be a power of two")
-        self._ring: List[list] = [[] for _ in range(ring_size)]
+        #: A slot is ``None`` until its first post creates the bucket.
+        self._ring: List[Optional[list]] = [None] * ring_size
         self._mask = ring_size - 1
         self._ring_size = ring_size
         #: Records (including cancelled ones) currently in ring buckets.
@@ -250,7 +259,10 @@ class Scheduler:
             bucket = self._ring[time & self._mask]
             if time - self.now > DENSE_SPAN and not bucket:
                 heappush(self._times, time)
-            bucket.append(event)
+            if bucket is None:
+                self._ring[time & self._mask] = [event]
+            else:
+                bucket.append(event)
             self._ring_count += 1
         else:
             heapq.heappush(self._overflow, (time, event.seq, event))
@@ -282,8 +294,11 @@ class Scheduler:
             bucket = self._ring[time & self._mask]
             if delay > DENSE_SPAN and not bucket:
                 heappush(self._times, time)
-            bucket.append(callback)
-            bucket.append(args)
+            if bucket is None:
+                self._ring[time & self._mask] = [callback, args]
+            else:
+                bucket.append(callback)
+                bucket.append(args)
             self._ring_count += 1
         else:
             event = Event(time, next(self._counter), callback, args, self)
@@ -305,8 +320,11 @@ class Scheduler:
             bucket = self._ring[time & self._mask]
             if time - self.now > DENSE_SPAN and not bucket:
                 heappush(self._times, time)
-            bucket.append(callback)
-            bucket.append(args)
+            if bucket is None:
+                self._ring[time & self._mask] = [callback, args]
+            else:
+                bucket.append(callback)
+                bucket.append(args)
             self._ring_count += 1
         else:
             event = Event(time, next(self._counter), callback, args, self)
@@ -459,7 +477,10 @@ class Scheduler:
                 bucket = ring[time & mask]
                 if not bucket:
                     heappush(times, time)
-                bucket.append(event)
+                if bucket is None:
+                    ring[time & mask] = [event]
+                else:
+                    bucket.append(event)
                 count += 1
             self._ring_count += count
             if self._obs_on:

@@ -40,6 +40,40 @@ _REC_COMMITTED = 0
 _REC_PERFORMED = 1
 
 
+#: Process-wide memo of compiled check plans, keyed by
+#: ``(table, op type, mask)``.  Ordering tables are long-lived
+#: ``table_for`` singletons and :func:`_compile_plan` is pure, so every
+#: checker on every machine shares one plan object per key.
+_PLANS: Dict[tuple, tuple] = {}
+
+
+def _compile_plan(table: OrderingTable, op_type: OpType, mask: MembarMask) -> tuple:
+    """Fold the ordering-table lookups for (op_type, mask) into a
+    flat comparison list, preserving the original check order."""
+    first_mask = mask if op_type is OpType.MEMBAR else MembarMask.ALL
+    access_targets = (
+        op_type.access_types() if op_type is OpType.ATOMIC else (op_type,)
+    )
+    checks = []
+    for target in access_targets:
+        for second in table.op_types:
+            if second is OpType.MEMBAR:
+                # Per-bit counters: only membars whose mask shares a
+                # bit with this cell constrain `target`.
+                cell = table.cell(target, OpType.MEMBAR)
+                for bit in _MASK_BITS:
+                    if cell & bit & first_mask:
+                        checks.append((target, OpType.MEMBAR, bit))
+            elif table.ordered(target, second, first_mask=first_mask):
+                checks.append((target, second, None))
+    bar_bits = (
+        [bit for bit in _MASK_BITS if mask & bit]
+        if op_type is OpType.MEMBAR
+        else []
+    )
+    return (tuple(checks), tuple(access_targets), tuple(bar_bits))
+
+
 class AllowableReorderingChecker:
     """Per-core AR checker.
 
@@ -68,7 +102,9 @@ class AllowableReorderingChecker:
         #: Precompiled per-(table, op type, mask) check plans: the
         #: table/mask algebra in :meth:`performed` is a pure function
         #: of its arguments, so it is folded into a flat list of
-        #: counter comparisons the first time each combination is seen.
+        #: counter comparisons (shared through :data:`_PLANS`) the
+        #: first time each combination is seen.  The per-checker view
+        #: keeps the hot lookup local and backs ``compiled_plans``.
         self._plans: Dict[tuple, tuple] = {}
         #: committed-but-not-yet-performed operations, insertion ordered.
         self._outstanding: "OrderedDict[int, tuple]" = OrderedDict()
@@ -118,7 +154,7 @@ class AllowableReorderingChecker:
             "mode": "eager" if self._log is None else "streaming",
             "log_fill_records": 0 if self._log is None else len(self._log),
             "log_capacity_records": (
-                0 if self._log is None else self._log.capacity // 6
+                0 if self._log is None else self._log.capacity // RECORD_WIDTH
             ),
             "drains": drains,
             "drained_records": self._obs_drained_records,
@@ -138,6 +174,15 @@ class AllowableReorderingChecker:
         self.drain_log()
         self._log = log if log is not None else OpLog()
         return self._log
+
+    def _make_room(self, log: OpLog) -> int:
+        """Cold path of an append that found the buffer full: drain at
+        capacity, else grow.  Returns the offset to write at."""
+        if log.allocated == log.capacity:
+            self.drain_log()
+            return 0
+        log.grow()
+        return log.length
 
     def _table_id(self) -> int:
         table = self.table()
@@ -194,9 +239,8 @@ class AllowableReorderingChecker:
             log = self._log
             if log is not None:
                 n = log.length
-                if n == log.capacity:
-                    self.drain_log()
-                    n = 0
+                if n == log.allocated:
+                    n = self._make_room(log)
                 buf = log.buf
                 buf[n] = _REC_COMMITTED
                 buf[n + 1] = _OP_CODE[op_type]
@@ -211,9 +255,8 @@ class AllowableReorderingChecker:
         log = self._log
         if log is not None:
             n = log.length
-            if n == log.capacity:
-                self.drain_log()
-                n = 0
+            if n == log.allocated:
+                n = self._make_room(log)
             buf = log.buf
             buf[n] = _REC_PERFORMED
             buf[n + 1] = _OP_CODE[op_type]
@@ -243,9 +286,13 @@ class AllowableReorderingChecker:
                     tid, self._span_track, K_AR, cycle,
                     _OP_CODE[op_type], seq, self.node,
                 )
-        plan = self._plans.get((table, op_type, mask))
+        key = (table, op_type, mask)
+        plan = self._plans.get(key)
         if plan is None:
-            plan = self._compile_plan(table, op_type, mask)
+            plan = _PLANS.get(key)
+            if plan is None:
+                plan = _PLANS[key] = _compile_plan(table, op_type, mask)
+            self._plans[key] = plan
         checks, targets, bar_bits = plan
         # ``bit is None`` entries compare against the per-type max;
         # membar entries compare against the per-mask-bit max.
@@ -264,36 +311,6 @@ class AllowableReorderingChecker:
         for bit in bar_bits:
             if seq > bit_max[bit]:
                 bit_max[bit] = seq
-
-    def _compile_plan(
-        self, table: OrderingTable, op_type: OpType, mask: MembarMask
-    ) -> tuple:
-        """Fold the ordering-table lookups for (op_type, mask) into a
-        flat comparison list, preserving the original check order."""
-        first_mask = mask if op_type is OpType.MEMBAR else MembarMask.ALL
-        access_targets = (
-            op_type.access_types() if op_type is OpType.ATOMIC else (op_type,)
-        )
-        checks = []
-        for target in access_targets:
-            for second in table.op_types:
-                if second is OpType.MEMBAR:
-                    # Per-bit counters: only membars whose mask shares a
-                    # bit with this cell constrain `target`.
-                    cell = table.cell(target, OpType.MEMBAR)
-                    for bit in _MASK_BITS:
-                        if cell & bit & first_mask:
-                            checks.append((target, OpType.MEMBAR, bit))
-                elif table.ordered(target, second, first_mask=first_mask):
-                    checks.append((target, second, None))
-        bar_bits = (
-            [bit for bit in _MASK_BITS if mask & bit]
-            if op_type is OpType.MEMBAR
-            else []
-        )
-        plan = (tuple(checks), tuple(access_targets), tuple(bar_bits))
-        self._plans[(table, op_type, mask)] = plan
-        return plan
 
     # -- lost-operation detection ------------------------------------------------
     def check_outstanding(self) -> None:

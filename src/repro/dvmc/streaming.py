@@ -5,8 +5,11 @@ committed/performed operation.  This module provides the log substrate
 that moves the *pure observer* part of that work off the per-event
 path:
 
-* Cores append ints-only records into a preallocated ``array``-backed
+* Cores append ints-only records into an ``array``-backed
   :class:`OpLog` (no per-operation object allocation, no dict churn).
+  The backing array starts small and doubles as records arrive, up to
+  the log's fixed capacity, so a short run never pays for the full
+  segment.
 * The owning checker drains a whole log segment in one call at its
   natural observation points (membar-injection heartbeats, log-full,
   ``DVMC.finalize``), with attribute lookups hoisted out of the loop.
@@ -41,24 +44,29 @@ from typing import Callable, Optional
 RECORD_WIDTH = 6
 
 #: Default log capacity in records.  A segment this size amortises the
-#: per-drain overhead thousands of ways while staying small enough
-#: (~192 KiB) to be cache-friendly.
+#: per-drain overhead thousands of ways; the backing array only reaches
+#: it (192 KiB) on a run long enough to fill it.
 LOG_RECORDS = 4096
+
+#: Records the backing array holds before its first growth.
+INITIAL_RECORDS = 64
 
 
 class OpLog:
-    """Preallocated ring of fixed-width integer records.
+    """Ring of fixed-width integer records with a lazily grown buffer.
 
     The log is deliberately dumb: the owning checker writes fields
     directly into :attr:`buf` at offset :attr:`length` and bumps
     ``length`` by :data:`RECORD_WIDTH` (inlined at the call site — one
     method call per record would defeat the purpose).  When an append
-    finds the log full, the owner drains it in place and restarts at
-    offset zero, so ``buf`` never reallocates and record tuples are
-    never materialised.
+    finds the buffer full (``length == allocated``) the owner calls
+    :meth:`grow`, which doubles the buffer up to :attr:`capacity`;
+    once the buffer is at capacity the owner drains it in place and
+    restarts at offset zero instead, so drains happen exactly every
+    ``capacity`` slots and record tuples are never materialised.
     """
 
-    __slots__ = ("buf", "length", "capacity", "on_full")
+    __slots__ = ("buf", "length", "allocated", "capacity", "on_full")
 
     def __init__(
         self,
@@ -66,11 +74,19 @@ class OpLog:
         on_full: Optional[Callable[[], None]] = None,
     ):
         self.capacity = records * RECORD_WIDTH
+        #: Array slots currently backed by :attr:`buf` (<= capacity).
+        self.allocated = min(records, INITIAL_RECORDS) * RECORD_WIDTH
         #: Signed 64-bit storage: every logged field (op codes, sequence
         #: numbers, membar masks, table ids, cycles) is a machine int.
-        self.buf = array("q", bytes(8 * self.capacity))
+        self.buf = array("q", bytes(8 * self.allocated))
         self.length = 0
         self.on_full = on_full
+
+    def grow(self) -> None:
+        """Double the backing array, never past :attr:`capacity`."""
+        extra = min(self.allocated, self.capacity - self.allocated)
+        self.buf.frombytes(bytes(8 * extra))
+        self.allocated += extra
 
     def __len__(self) -> int:
         return self.length // RECORD_WIDTH

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.common.events import RING_SIZE, Scheduler
+from repro.common.events import DENSE_SPAN, RING_SIZE, Scheduler
 
 
 class TestScheduling:
@@ -225,6 +225,44 @@ class TestCalendarQueueEdges:
         assert s.step() and out == ["a", "b", "c"]
         assert not s.step()
         assert s.pending() == 0
+
+
+class TestLazyBuckets:
+    """Bucket lists exist only for ring slots that have been posted into."""
+
+    def test_fresh_scheduler_allocates_no_buckets(self):
+        s = Scheduler()
+        assert len(s._ring) == RING_SIZE
+        assert all(bucket is None for bucket in s._ring)
+
+    def test_first_post_creates_only_its_bucket(self):
+        s = Scheduler()
+        s.post(3, lambda: None)
+        s.post_at(5, lambda: None)
+        s.after(DENSE_SPAN + 9, lambda: None)
+        s.after(RING_SIZE + 2, lambda: None)  # overflow: no bucket yet
+        assert [i for i, b in enumerate(s._ring) if b is not None] == [
+            3, 5, DENSE_SPAN + 9,
+        ]
+        s.run()
+        assert s.now == RING_SIZE + 2
+        touched = {i for i, b in enumerate(s._ring) if b is not None}
+        assert touched == {3, 5, DENSE_SPAN + 9, 2}
+        assert all(not s._ring[i] for i in touched)
+
+    def test_drained_bucket_is_reused(self):
+        s = Scheduler(ring_size=16)
+        out = []
+        s.post(2, out.append, ("a",))
+        bucket = s._ring[2]
+        s.run()
+        assert bucket == [] and s._ring[2] is bucket
+        s.post(16, out.append, ("b",))  # one ring period later: same slot
+        s.post_late(16, out.append, ("late",))
+        assert s._ring[2] is bucket
+        s.run()
+        assert out == ["a", "b", "late"]
+        assert s._ring[2] is bucket and bucket == []
 
 
 class _RefEvent:

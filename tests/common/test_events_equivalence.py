@@ -7,8 +7,11 @@ callback order, same ``now`` labels, same ``pending()`` at every event,
 same ``events_processed``.  Property-based scenarios mix the whole
 scheduling surface — ``at``/``after`` (cancellable handles),
 ``post``/``post_at`` (flat fast path), cancellation before and during
-the run, and sparse far-future delays that force overflow-heap
-migration and quiescent window jumps.
+the run, late-lane posts, and sparse far-future delays that force
+overflow-heap migration and quiescent window jumps.  Scenarios run on
+the default ring and on small rings (16 and 128 slots), where the
+flat kernel's lazily created buckets are first touched under
+wrap-around, overflow migration and sparse ``_times`` jumps.
 
 Mirrors the hand-rolled heap harness in ``test_events.py``
 (``TestCalendarVsReferenceHeap``); here hypothesis owns scenario
@@ -25,11 +28,17 @@ from repro.common.events import DENSE_SPAN, RING_SIZE, LegacyScheduler, Schedule
 #: heap + window jumps).
 DELAYS = [0, 1, 2, 3, 7, 17, DENSE_SPAN + 1, 100, RING_SIZE + 5, 2 * RING_SIZE + 13, 4096]
 
+#: Ring sizes: a 16-slot ring wraps every few posts and sends most of
+#: the palette through overflow; a 128-slot ring keeps the sparse
+#: ``DENSE_SPAN + 1`` and ``100`` delays in-window but past the walk.
+RING_SIZES = st.sampled_from([16, 128, RING_SIZE])
+
 _action = st.one_of(
     st.tuples(st.just("after"), st.sampled_from(DELAYS), st.integers(0, 2)),
     st.tuples(st.just("at"), st.sampled_from(DELAYS), st.integers(0, 2)),
     st.tuples(st.just("post"), st.sampled_from(DELAYS)),
     st.tuples(st.just("post_at"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("post_late"), st.sampled_from(DELAYS)),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
 )
 
@@ -55,6 +64,9 @@ def _drive(sched, program, untils=()):
         # Deterministic mid-run cancellation of an arbitrary live handle.
         if handles and tag % 3 == 0:
             handles.pop(tag % len(handles)).cancel()
+        # ... and a late-lane record behind this cycle or a later one.
+        if tag % 4 == 1:
+            sched.post_late(DELAYS[tag % 5], fire_post, (tag + 2000,))
 
     def fire_post(tag):
         trace.append((sched.now, tag, sched.pending()))
@@ -69,6 +81,8 @@ def _drive(sched, program, untils=()):
             sched.post(op[1], fire_post, (next(tags),))
         elif kind == "post_at":
             sched.post_at(sched.now + op[1], fire_post, (next(tags),))
+        elif kind == "post_late":
+            sched.post_late(op[1], fire_post, (next(tags),))
         else:  # cancel
             if handles:
                 handles.pop(op[1] % len(handles)).cancel()
@@ -81,9 +95,11 @@ def _drive(sched, program, untils=()):
 
 
 @settings(deadline=None, max_examples=60)
-@given(program=_programs)
-def test_flat_matches_legacy(program):
-    assert _drive(Scheduler(), program) == _drive(LegacyScheduler(), program)
+@given(program=_programs, ring=RING_SIZES)
+def test_flat_matches_legacy(program, ring):
+    assert _drive(Scheduler(ring), program) == _drive(
+        LegacyScheduler(ring), program
+    )
 
 
 @settings(deadline=None, max_examples=40)
@@ -94,14 +110,15 @@ def test_flat_matches_legacy(program):
         min_size=1,
         max_size=3,
     ),
+    ring=RING_SIZES,
 )
-def test_flat_matches_legacy_with_until(program, untils):
+def test_flat_matches_legacy_with_until(program, untils, ring):
     """Bounded runs: ``until`` cuts mid-window and mid-overflow; the
     final unbounded run drains the rest.  ``until`` values must be
     non-decreasing to be meaningful on both kernels."""
     untils = sorted(untils)
-    assert _drive(Scheduler(), program, untils) == _drive(
-        LegacyScheduler(), program, untils
+    assert _drive(Scheduler(ring), program, untils) == _drive(
+        LegacyScheduler(ring), program, untils
     )
 
 
@@ -113,8 +130,9 @@ def test_flat_matches_legacy_with_until(program, untils):
         max_size=12,
     ),
     cancel_mask=st.integers(0, 2**12 - 1),
+    ring=RING_SIZES,
 )
-def test_sparse_window_jumps_match(delays, cancel_mask):
+def test_sparse_window_jumps_match(delays, cancel_mask, ring):
     """Far-future-only scenarios: every event migrates through the
     overflow heap and the drain cursor batch-advances across long
     quiescent spans; a subset is cancelled before running."""
@@ -131,4 +149,4 @@ def test_sparse_window_jumps_match(delays, cancel_mask):
         sched.run()
         return trace, sched.now, sched.events_processed, sched.pending()
 
-    assert drive(Scheduler()) == drive(LegacyScheduler())
+    assert drive(Scheduler(ring)) == drive(LegacyScheduler(ring))
