@@ -19,14 +19,9 @@ through four measurement passes:
 * **cached**: same specs again against a freshly primed result cache;
   every point must hit (``cache_hits == runs``) and decode
   bit-identically;
-* **eager** (``REPRO_EAGER_CHECK=1``): same specs with the streaming
-  verification plane disabled (per-event checker calls); must be
-  bit-identical to the batch-mode serial pass.
-  ``eager_events_per_sec`` quantifies the streaming plane's win (see
-  EXPERIMENTS.md, "Verification overhead");
 * **observed** (``REPRO_OBS=1``): same specs with the observability
   plane on; the deterministic payload must stay bit-identical
-  (``identical`` covers all five passes) and the wall-clock delta is
+  (``identical`` covers all four passes) and the wall-clock delta is
   recorded as ``obs_overhead_pct`` (gated in
   ``check_perf_regression.py``);
 * **poll** (``REPRO_POLL=1``): same specs with the wake-on-change
@@ -46,22 +41,12 @@ through four measurement passes:
   bit-identical (``spans_identical``) and the wall-clock delta is
   recorded as ``span_overhead_pct`` (gated at ≤3% in
   ``check_perf_regression.py``; forensic reruns use stride 1 and pay
-  more, which is fine — they only happen on a violation);
-* **hops** (``REPRO_HOPS=1``): same specs with the express message
-  plane degraded to hop-by-hop relay events.  The architectural
-  payload must match the express-mode serial pass with only
-  ``events_processed`` allowed to differ (``express_hops_identical``);
-  the event delta is the relay traffic the express plane elides
-  (``hop_events_elided``).  As with the wakeup plane, express removes
-  events rather than speeding them up, so the gated basis is
-  ``express_equivalent_events_per_sec`` — the hops pass's event count
-  over the express pass's wall clock — compared against the hops
-  pass's own ``hops_events_per_sec``.
+  more, which is fine — they only happen on a violation).
 
 Timing methodology: one untimed warmup sweep runs first, then the
-serial, eager and observed passes run *interleaved* — each of four
-reps times one sweep of each back to back, so a slow background window
-on a shared host penalises all three alike — and each pass reports its
+serial, observed, spans and poll passes run *interleaved* — each of
+four reps times one sweep of each back to back, so a slow background
+window on a shared host penalises them alike — and each pass reports its
 best rep (minimum wall clock, the standard estimator under additive
 background noise; the runs are deterministic so the metrics are the
 same every rep).  The gated overhead percentages
@@ -270,11 +255,10 @@ def main(argv=None) -> int:
                 else:
                     os.environ[key] = value
 
-    # Interleaved timing: each rep runs one serial, one eager
-    # (REPRO_EAGER_CHECK=1: per-event checker calls) and one observed
-    # (REPRO_OBS=1: observability plane on) sweep back to back, so a
-    # slow background window on a shared host penalises all three
-    # alike; each pass reports its best rep (minimum wall clock).  The
+    # Interleaved timing: each rep runs one serial, one observed
+    # (REPRO_OBS=1: observability plane on), one spans and one poll
+    # sweep back to back, so a slow background window on a shared host
+    # penalises them alike; each pass reports its best rep (minimum wall clock).  The
     # runs are deterministic, so the metrics are the same every rep —
     # only the wall clock varies.  Per-rep times are kept so the gated
     # overhead ratios can be computed from *paired* reps (see below)
@@ -286,11 +270,9 @@ def main(argv=None) -> int:
     # same mode every rep, biasing even paired ratios.
     modes = [
         ("serial", None),
-        ("eager", {"REPRO_EAGER_CHECK": "1"}),
         ("obs", {"REPRO_OBS": "1"}),
         ("spans", {"REPRO_OBS_SPANS": "1"}),
         ("poll", {"REPRO_POLL": "1"}),
-        ("hops", {"REPRO_HOPS": "1"}),
     ]
     results: dict = {}
     rep_times: dict = {name: [] for name, _ in modes}
@@ -300,12 +282,12 @@ def main(argv=None) -> int:
         for name, env in order:
             results[name], s = timed_sweep(env)
             rep_times[name].append(s)
-    serial, eager, observed = results["serial"], results["eager"], results["obs"]
-    spans, poll, hops = results["spans"], results["poll"], results["hops"]
+    serial, observed = results["serial"], results["obs"]
+    spans, poll = results["spans"], results["poll"]
     serial_reps = rep_times["serial"]
-    serial_s, eager_s = min(serial_reps), min(rep_times["eager"])
+    serial_s = min(serial_reps)
     obs_s, spans_s = min(rep_times["obs"]), min(rep_times["spans"])
-    poll_s, hops_s = min(rep_times["poll"]), min(rep_times["hops"])
+    poll_s = min(rep_times["poll"])
 
     def overhead_pct(mode_reps: List[float]) -> float:
         """Median of per-rep overhead ratios vs the serial sweep.
@@ -350,14 +332,10 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    # Eager must be bit-identical to batch mode (the throughput delta is
-    # the streaming plane's win); observed must leave the deterministic
-    # payload untouched (RunMetrics equality ignores the obs field).
-    # The paired-rep delta of observed vs serial is the observability
-    # plane's overhead, gated in check_perf_regression.py.
-    eager_events_per_sec = (
-        sum(m.events_processed for m in eager) / eager_s if eager_s else 0.0
-    )
+    # Observed must leave the deterministic payload untouched
+    # (RunMetrics equality ignores the obs field).  The paired-rep
+    # delta of observed vs serial is the observability plane's
+    # overhead, gated in check_perf_regression.py.
     obs_overhead_pct = overhead_pct(rep_times["obs"])
 
     # The flight recorder must leave the deterministic payload untouched
@@ -368,7 +346,7 @@ def main(argv=None) -> int:
     spans_identical = serial == spans
     span_overhead_pct = overhead_pct(rep_times["spans"])
 
-    identical = serial == parallel == cached == eager == observed
+    identical = serial == parallel == cached == observed
 
     # Wakeup-vs-poll identity: same machine, fewer events.  Everything
     # but the raw event count must match (events_processed is exactly
@@ -385,22 +363,13 @@ def main(argv=None) -> int:
     poll_equivalent_events_per_sec = (
         poll_events / serial_s if serial_s else 0.0
     )
-
-    # Express-vs-hops identity: same reservation timetable, fewer
-    # events.  Same contract (and same gating shape) as wakeup/poll.
-    express_hops_identical = arch(serial) == arch(hops)
-    hops_events = sum(m.events_processed for m in hops)
-    hops_events_per_sec = hops_events / hops_s if hops_s else 0.0
-    express_equivalent_events_per_sec = (
-        hops_events / serial_s if serial_s else 0.0
-    )
     if not identical:
-        rows = zip(serial, parallel, cached, eager, observed)
-        for i, (a, b, c, e, o) in enumerate(rows):
-            if not (a == b == c == e == o):
+        rows = zip(serial, parallel, cached, observed)
+        for i, (a, b, c, o) in enumerate(rows):
+            if not (a == b == c == o):
                 print(
                     f"MISMATCH at spec #{i}:\n  serial:   {a}"
-                    f"\n  parallel: {b}\n  cached:   {c}\n  eager:    {e}"
+                    f"\n  parallel: {b}\n  cached:   {c}"
                     f"\n  observed: {o}"
                 )
 
@@ -449,7 +418,6 @@ def main(argv=None) -> int:
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
         "cached_s": round(cached_s, 4),
-        "eager_s": round(eager_s, 4),
         "obs_s": round(obs_s, 4),
         "spans_s": round(spans_s, 4),
         "poll_s": round(poll_s, 4),
@@ -463,20 +431,12 @@ def main(argv=None) -> int:
         "legacy_kernel_events_per_sec": round(
             legacy_kernel_events_per_sec, 1
         ),
-        "eager_events_per_sec": round(eager_events_per_sec, 1),
         "poll_events_per_sec": round(poll_events_per_sec, 1),
         "poll_equivalent_events_per_sec": round(
             poll_equivalent_events_per_sec, 1
         ),
         "spin_events_elided": poll_events - events,
         "wakeup_poll_identical": wakeup_poll_identical,
-        "hops_s": round(hops_s, 4),
-        "hops_events_per_sec": round(hops_events_per_sec, 1),
-        "express_equivalent_events_per_sec": round(
-            express_equivalent_events_per_sec, 1
-        ),
-        "hop_events_elided": hops_events - events,
-        "express_hops_identical": express_hops_identical,
         "messages_allocated": messages_allocated,
         "msg_pool_reuse_pct": round(msg_pool_reuse_pct, 1),
         "speedup": None if speedup is None else round(speedup, 3),
@@ -514,8 +474,6 @@ def main(argv=None) -> int:
         f"{coalesced} coalesced deliveries)\n"
         f"parallel {parallel_s:8.2f} s   (jobs={jobs}, {speed_txt})\n"
         f"cached   {cached_s:8.2f} s   ({cache_hits}/{len(specs)} hits)\n"
-        f"eager    {eager_s:8.2f} s   ({eager_events_per_sec:,.0f} events/sec, "
-        f"checkers on the hot path)\n"
         f"observed {obs_s:8.2f} s   (REPRO_OBS=1, "
         f"{obs_overhead_pct:+.1f}% vs serial)\n"
         f"spans    {spans_s:8.2f} s   (REPRO_OBS_SPANS=1, "
@@ -527,19 +485,13 @@ def main(argv=None) -> int:
         f"          poll-equivalent {poll_equivalent_events_per_sec:,.0f} "
         f"events/sec vs poll {poll_events_per_sec:,.0f}, "
         f"arch-identical: {wakeup_poll_identical})\n"
-        f"hops     {hops_s:8.2f} s   (REPRO_HOPS=1, "
-        f"{hops_events:,} events, {hops_events - events:,} hop events "
-        f"elided by express;\n"
-        f"          express-equivalent {express_equivalent_events_per_sec:,.0f} "
-        f"events/sec vs hops {hops_events_per_sec:,.0f}, "
-        f"arch-identical: {express_hops_identical})\n"
         f"msgpool  {messages_allocated:,} records allocated, "
         f"{msg_pool_reuse_pct:.1f}% of sends reused a pooled record\n"
         f"alloc    {alloc_blocks:,} blocks retained "
         f"({alloc_kib:,.0f} KiB, peak {peak_bytes / 1024.0:,.0f} KiB) "
         f"over {alloc_events:,} events\n"
         f"metrics identical: {identical} "
-        f"(serial == parallel == cached == eager == observed)\n"
+        f"(serial == parallel == cached == observed)\n"
         f"[written to {os.path.abspath(args.out)}]"
     )
     return (
@@ -547,7 +499,6 @@ def main(argv=None) -> int:
         if identical
         and spans_identical
         and wakeup_poll_identical
-        and express_hops_identical
         and cache_hits == len(specs)
         else 1
     )

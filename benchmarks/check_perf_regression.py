@@ -5,7 +5,7 @@ written by ``bench_perf.py --out ...``) against the committed baseline
 at the repo root.  Fails when the candidate's serial ``events_per_sec``
 or raw-kernel ``kernel_events_per_sec`` drops below ``threshold``
 (default 80%) of the baseline's, when the candidate's
-serial/parallel/cached/eager/observed metrics were not identical, or
+serial/parallel/cached/observed metrics were not identical, or
 when the observability plane's ``obs_overhead_pct`` — or the flight
 recorder's ``span_overhead_pct`` (with ``spans_identical`` asserted) —
 exceeds its ceiling (default 3% each).
@@ -20,16 +20,14 @@ wakeup-pass wall clock, the apples-to-apples basis when wake mode
 ``poll_events_per_sec``.  That floor asserts the wakeup kernel
 actually beats polling, not merely matches it.
 
-The express message plane adds two more: the express and
-``REPRO_HOPS=1`` passes must be architecturally identical
-(``express_hops_identical``), and serial ``events_per_sec`` must hold
-``--express-threshold`` (default 110%) of the *pinned* pre-express
-baseline (``--pr7-baseline``, the serial throughput committed before
-the express plane landed).  Unlike the rolling 80% floor this is a
-ratchet: it pins the express plane's absolute win so a later change
-cannot silently trade it away while still passing the loose
-self-relative check.  Skipped when the candidate predates the express
-fields.
+The express message plane adds one more: serial ``events_per_sec``
+must hold ``--express-threshold`` (default 110%) of the *pinned*
+pre-express baseline (``--pr7-baseline``, the serial throughput
+committed before the express plane landed).  Unlike the rolling 80%
+floor this is a ratchet: it pins the express plane's absolute win so a
+later change cannot silently trade it away while still passing the
+loose self-relative check.  Skipped only when the candidate has no
+``events_per_sec``.
 
 The threshold is deliberately loose: CI runners vary, and the guard is
 meant to catch order-of-magnitude mistakes (an accidentally quadratic
@@ -124,14 +122,6 @@ def main(argv=None) -> int:
             "architectural payload"
         )
         return 1
-    if "express_hops_identical" in candidate and not candidate[
-        "express_hops_identical"
-    ]:
-        print(
-            "FAIL: express and REPRO_HOPS=1 message planes disagreed on "
-            "the architectural payload"
-        )
-        return 1
 
     failed = False
     for key, label in (
@@ -177,9 +167,8 @@ def main(argv=None) -> int:
             failed = True
 
     express_cand = candidate.get("events_per_sec")
-    if "hop_events_elided" not in candidate or express_cand is None:
-        # Older candidates predate the express plane; nothing to ratchet.
-        print("perf check: express ratchet skipped (express fields missing)")
+    if express_cand is None:
+        print("perf check: express ratchet skipped (events_per_sec missing)")
     else:
         pinned = args.pr7_baseline
         ratio = express_cand / pinned if pinned else float("inf")

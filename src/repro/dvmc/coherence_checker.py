@@ -518,28 +518,11 @@ class CoherenceChecker:
         """One inform arriving at a home memory controller's MET."""
         self._drain(self._push_inform(msg))
 
-    def handle_batch(self, batch) -> None:
-        """Batch entry point: informs arriving at a home MET together.
-
-        The interconnect delivers all same-(node, cycle) informs as one
-        batch: every inform is pushed onto its begin-time-sorted bank
-        heap first and each touched home is drained once, amortising
-        the drain sweep across the batch.  All inform kinds ride the
-        same queues; an Inform-Closed-Epoch sorts by its end time,
-        which keeps it behind its paired Inform-Open-Epoch (end >=
-        begin).
-        """
-        homes = set()
-        for msg in batch:
-            homes.add(self._push_inform(msg))
-        for home in homes:
-            self._drain(home)
-
     def _push_inform(self, msg: Message) -> int:
         """Queue one inform as a flat tuple record on its bank heap.
 
-        Returns the home node; the caller is responsible for the drain
-        sweep (once per message, or once per batch).  Record layout:
+        Returns the home node; the caller runs its drain sweep.  Record
+        layout:
         ``(sort_key, seq, kind, src, block, etype, begin, end,
         begin_hash, end_hash)`` with -1 for absent hashes/times.
         """

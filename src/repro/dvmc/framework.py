@@ -64,8 +64,6 @@ class DVMC:
 
     def attach_obs(self) -> None:
         """Turn on internal observability counters in every checker."""
-        for ar in self.ar_checkers:
-            ar.attach_obs()
         if self.coherence_checker is not None:
             self.coherence_checker.attach_obs()
 
@@ -91,18 +89,17 @@ class DVMC:
 
     def finalize(self) -> None:
         """Flush buffered checker state (end of simulation): drain the
-        streaming AR logs and MET priority queues, run a final
-        lost-operation scan, and put the report list into canonical
-        order.
+        MET priority queues, run a final lost-operation scan, and put
+        the report list into canonical order.
 
         The canonical sort makes the final report list independent of
         *when* each checker ran its deferred work: every report is
         timestamped with the cycle at which the violation was observed
-        (not when a batch drain got around to checking it), so sorting
-        on (cycle, checker, node, kind, detail) yields bit-identical
-        output between eager (``REPRO_EAGER_CHECK=1``) and batch modes.
-        The sort is stable and idempotent; ``first`` keeps meaning "the
-        earliest detection" for the recovery-window comparison.
+        (not when a MET drain got around to checking it), so sorting on
+        (cycle, checker, node, kind, detail) gives one order however the
+        checks interleaved.  The sort is stable and idempotent; ``first``
+        keeps meaning "the earliest detection" for the recovery-window
+        comparison.
         """
         if self.coherence_checker is not None:
             self.coherence_checker.flush()

@@ -2,9 +2,8 @@
 
 The hub is the push half of the observability plane (see
 :mod:`repro.obs`): components that produce *new* measurements — the
-scheduler's bucket occupancy, an OpLog's drain depth, the MET's bank
-probes — register named instruments and update them while the
-simulation runs.  Everything already counted in the simulation-visible
+scheduler's bucket occupancy, the MET's bank probes — register named
+instruments and update them while the simulation runs.  Everything already counted in the simulation-visible
 :class:`~repro.common.stats.StatsRegistry` stays there (those counters
 are part of the deterministic run output); the exporter pulls both
 sides together at snapshot time.

@@ -9,8 +9,7 @@ directory/snooping ownership transitions, SafetyNet checkpoints, and
 finally the DVMC verdicts (AR reorder check, UO commit/replay, CC
 epoch + MET processing).
 
-The storage discipline follows :class:`repro.dvmc.streaming.OpLog`:
-records are flat integers in parallel arrays grown on demand, closed
+Records are flat integers in parallel arrays grown on demand, closed
 spans land in a ring that keeps the *last* ``capacity`` records (the
 tail right before a violation is what forensics wants), and op
 sampling (``REPRO_OBS_SPANS_SAMPLE=N``) bounds enabled-path cost.

@@ -277,7 +277,6 @@ def build_system(
     stats = system.stats
     hooks = system.hooks
     num = config.num_nodes
-    eager_check = os.environ.get("REPRO_EAGER_CHECK") == "1"
 
     # Observability (REPRO_OBS / REPRO_OBS_TRACE) -------------------------
     if obs.enabled():
@@ -424,14 +423,6 @@ def build_system(
             )
             core.ar = ar
             ar.core = core
-            if not eager_check:
-                # Streaming verification plane (default): the core
-                # appends ints-only records to the checker's log; the
-                # checker drains whole segments at membar heartbeats,
-                # log-full, and finalize.  REPRO_EAGER_CHECK=1 keeps
-                # per-event checking; both modes report bit-identical
-                # violations and stats (the perf benchmark asserts it).
-                ar.attach_log()
             system.dvmc.ar_checkers.append(ar)
         system.cores.append(core)
 
@@ -508,23 +499,7 @@ def _wire_routers(system: System) -> None:
         def torus_handler(msg: Message, dispatch=dispatch):
             dispatch[msg.kind](msg)
 
-        def torus_batch_handler(batch, dispatch=dispatch, checker=checker):
-            # Coalesced same-cycle arrivals: coherence traffic is
-            # dispatched per message in arrival order, while DVCC
-            # informs are grouped into one MET push+drain pass.
-            informs = None
-            for msg in batch:
-                if msg.kind.__class__ is Dvcc and checker is not None:
-                    if informs is None:
-                        informs = []
-                    informs.append(msg)
-                    continue
-                dispatch[msg.kind](msg)
-            if informs is not None:
-                checker.handle_batch(informs)
-
         system.data_network.register(n, torus_handler)
-        system.data_network.register_batch(n, torus_batch_handler)
 
         if not directory:
 

@@ -7,7 +7,7 @@ from repro.common.types import MembarMask, OpType
 from repro.config import SystemConfig
 from repro.consistency.tables import PSO_TABLE, RMO_TABLE, SC_TABLE, TSO_TABLE
 from repro.dvmc.framework import ViolationLog
-from repro.dvmc.reordering import AllowableReorderingChecker
+from repro.dvmc.reordering import _PLANS, AllowableReorderingChecker
 
 L, S, SB, MB = OpType.LOAD, OpType.STORE, OpType.STBAR, OpType.MEMBAR
 ALL = MembarMask.ALL
@@ -181,3 +181,42 @@ class TestDynamicTableSwitch:
         checker.performed(S, 3, ALL)
         checker.performed(S, 2, ALL)  # TSO: violation
         assert log.reports
+
+
+class TestSharedPlans:
+    """Compiled AR plans are shared process-wide, per (table, op, mask)."""
+
+    def test_checkers_on_one_table_share_plan_objects(self):
+        a, _, _ = make_checker(TSO_TABLE)
+        b, _, _ = make_checker(TSO_TABLE)
+        a.performed(S, 1, MembarMask.NONE)
+        assert a.obs_snapshot()["compiled_plans"] == 1
+        assert b.obs_snapshot()["compiled_plans"] == 0
+        b.performed(S, 1, MembarMask.NONE)
+        b.performed(L, 2, MembarMask.NONE)
+        key = (TSO_TABLE, S, MembarMask.NONE)
+        assert a._plans[key] is b._plans[key] is _PLANS[key]
+        assert a.obs_snapshot()["compiled_plans"] == 1
+        assert b.obs_snapshot()["compiled_plans"] == 2
+
+    def test_model_switch_checks_against_new_tables_plans(self):
+        """PSTATE.MM switch mid-run: a store->store inversion is legal
+        under PSO but a violation under TSO, on both sides of the
+        switch, each checked against its own table's shared plan."""
+        active = {"table": PSO_TABLE}
+        log = ViolationLog()
+        checker = AllowableReorderingChecker(
+            0, Scheduler(), StatsRegistry(), SystemConfig(),
+            lambda: active["table"], log,
+        )
+        checker.performed(S, 2, MembarMask.NONE)
+        checker.performed(S, 1, MembarMask.NONE)
+        assert log.reports == []
+        active["table"] = TSO_TABLE
+        checker.performed(S, 4, MembarMask.NONE)
+        checker.performed(S, 3, MembarMask.NONE)
+        assert [r.kind for r in log.reports] == ["illegal-reordering"]
+        for table in (PSO_TABLE, TSO_TABLE):
+            key = (table, S, MembarMask.NONE)
+            assert checker._plans[key] is _PLANS[key]
+        assert checker.obs_snapshot()["compiled_plans"] == 2

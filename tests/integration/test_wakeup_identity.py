@@ -117,13 +117,3 @@ class TestWakeupIdentity:
         wake = run_mode(spec, monkeypatch, poll=False)
         poll = run_mode(spec, monkeypatch, poll=True)
         assert stripped(wake) == stripped(poll)
-
-    def test_eager_check_mode_identical(self, monkeypatch):
-        # Wakeup plane composes with the per-event checking plane.
-        monkeypatch.setenv("REPRO_EAGER_CHECK", "1")
-        spec = RunSpec(
-            SystemConfig.protected(num_nodes=2).with_seed(9), "jbb", 40
-        )
-        wake = run_mode(spec, monkeypatch, poll=False)
-        poll = run_mode(spec, monkeypatch, poll=True)
-        assert stripped(wake) == stripped(poll)

@@ -1,8 +1,5 @@
 """Batched delivery: same-(node, cycle) arrivals coalesce into one event."""
 
-import pytest
-
-from repro.common.errors import ConfigError
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.config import NetworkConfig
@@ -78,26 +75,6 @@ class TestDeliverAt:
 
 
 class TestBatchHandlers:
-    def test_batch_handler_gets_multi_message_batches(self):
-        sched, _, net = make_net()
-        singles, batches = [], []
-        net.register(1, singles.append)
-        net.register_batch(1, lambda batch: batches.append(list(batch)))
-        net.deliver_at(4, msg(1, 0x1))
-        net.deliver_at(4, msg(1, 0x2))
-        sched.run()
-        assert singles == []
-        assert len(batches) == 1 and [m.addr for m in batches[0]] == [1, 2]
-
-    def test_lone_arrival_bypasses_batch_handler(self):
-        sched, _, net = make_net()
-        singles, batches = [], []
-        net.register(1, singles.append)
-        net.register_batch(1, batches.append)
-        net.deliver_at(4, msg(1))
-        sched.run()
-        assert len(singles) == 1 and batches == []
-
     def test_batch_falls_back_to_plain_handler(self):
         sched, _, net = make_net()
         got = []
@@ -106,12 +83,6 @@ class TestBatchHandlers:
         net.deliver_at(4, msg(1, 0x2))
         sched.run()
         assert [m.addr for m in got] == [1, 2]
-
-    def test_duplicate_batch_registration_rejected(self):
-        _, _, net = make_net()
-        net.register_batch(1, lambda batch: None)
-        with pytest.raises(ConfigError):
-            net.register_batch(1, lambda batch: None)
 
 
 class TestTorusBatching:

@@ -122,6 +122,45 @@ class TestDelivery:
         assert arrivals[2] - arrivals[1] >= 144
 
 
+class TestLinkReservation:
+    """Whole-path reservation at send time (default link: 1.25 B/cycle,
+    4-cycle link + 1-cycle switch latency)."""
+
+    def _run(self, num_nodes, sends):
+        """Inject ``(cycle, src, dst, size)`` sends from scheduled
+        events; return (delivery (cycle, node, tag) triples, link bytes)."""
+        sched, stats, net = make_torus(num_nodes)
+        deliveries = []
+        for n in range(num_nodes):
+            net.register(
+                n, lambda m, n=n: deliveries.append((sched.now, n, m.addr))
+            )
+
+        def inject(tag, src, dst, size):
+            net.send(Message(src=src, dst=dst, kind="x", addr=tag, size_bytes=size))
+
+        for tag, (t, src, dst, size) in enumerate(sends):
+            sched.post_at(t, inject, (tag, src, dst, size))
+        sched.run()
+        return deliveries, stats.counters_with_prefix("net.t.link.")
+
+    def test_contended_link_reservation_order(self):
+        """Three same-cycle senders share link 0-1: per-link FIFO
+        follows send order and each message waits for the previous
+        one's serialisation."""
+        deliveries, links = self._run(4, [(5, 0, 1, 72)] * 3)
+        # 72 B at 1.25 B/cycle serialise in 58 cycles; arrival is
+        # start + 58 + 5.  Starts: 5, then 63 and 121 (link busy).
+        assert deliveries == [(68, 1, 0), (126, 1, 1), (184, 1, 2)]
+        assert links == {"net.t.link.0-1": 216}
+
+    def test_self_send_bypasses_links(self):
+        deliveries, links = self._run(4, [(0, 2, 2, 72)])
+        # Local delivery after the 1-cycle switch latency, no link used.
+        assert deliveries == [(1, 2, 0)]
+        assert links == {}
+
+
 class TestBandwidthAccounting:
     def test_bytes_counted_per_link(self):
         sched, stats, net = make_torus(8)

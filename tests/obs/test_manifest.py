@@ -6,6 +6,7 @@ from repro.config import SystemConfig
 from repro.obs.manifest import (
     SCHEMA_VERSION,
     config_hash,
+    regime_flags,
     run_manifest,
     write_manifest,
 )
@@ -44,6 +45,30 @@ class TestRunManifest:
         manifest = run_manifest(SystemConfig.protected(), workload="jbb")
         round_tripped = json.loads(json.dumps(manifest, sort_keys=True))
         assert round_tripped == manifest
+
+
+class TestRegimeFlags:
+    def test_key_set(self):
+        assert SCHEMA_VERSION == 3
+        assert sorted(regime_flags({})) == [
+            "flat_kernel",
+            "obs",
+            "obs_spans",
+            "obs_spans_cap",
+            "obs_spans_sample",
+            "obs_trace",
+            "poll",
+        ]
+
+    def test_defaults_and_overrides(self):
+        assert regime_flags({})["flat_kernel"] is True
+        assert regime_flags({})["poll"] is False
+        flags = regime_flags({"REPRO_FLAT_KERNEL": "0", "REPRO_POLL": "1"})
+        assert flags["flat_kernel"] is False and flags["poll"] is True
+
+    def test_retired_regime_variables_are_not_recorded(self):
+        flags = regime_flags({"REPRO_HOPS": "1", "REPRO_EAGER_CHECK": "1"})
+        assert flags == regime_flags({})
 
 
 class TestWriteManifest:
