@@ -82,6 +82,34 @@ def test_small_campaign_runs_clean(tmp_path):
     # online_only is legitimate for the fault-injected case (DVMC
     # detecting the landed fault); it is fatal only without a fault.
     assert not report.new_mismatches
+    # The --stats-out JSON (read by bench_summary.py --fuzz) keeps its
+    # shape: summary and outcome keys, hub counter and histogram names.
+    outcomes = [
+        "agree_clean",
+        "agree_violation",
+        "online_only",
+        "missed_violation",
+        "undecided",
+    ]
+    assert list(report.summary) == (
+        ["cases"] + outcomes + ["mismatches", "mismatches_known", "shrink_steps"]
+    )
+    assert list(report.outcomes) == outcomes
+    assert sum(report.outcomes.values()) == len(cases)
+    hub = report.hub_snapshot
+    assert sorted(hub) == ["counters", "gauges", "histograms"]
+    assert list(hub["counters"]) == sorted(
+        ["fuzz.cases", "fuzz.mismatches", "fuzz.mismatches.known",
+         "fuzz.shrink.steps"]
+        + [f"fuzz.outcome.{name}" for name in outcomes]
+    )
+    assert hub["counters"]["fuzz.cases"] == len(cases)
+    assert hub["gauges"] == {}
+    assert list(hub["histograms"]) == [
+        "fuzz.oracle.branches",
+        "fuzz.trace.events",
+    ]
+    assert hub["histograms"]["fuzz.trace.events"]["count"] == len(cases)
 
 
 def test_reproducer_file_name_is_stable(tmp_path):
