@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.consistency.models import ConsistencyModel
@@ -38,7 +39,9 @@ def _config(args, protected: bool) -> SystemConfig:
 def cmd_run(args) -> int:
     config = _config(args, protected=not args.unprotected)
     system = build_system(config, workload=args.workload, ops=args.ops)
+    start = time.perf_counter()
     result = system.run()
+    run_s = time.perf_counter() - start
     print(f"cycles:     {result.cycles}")
     print(f"completed:  {result.completed}")
     print(f"violations: {len(result.violations)}")
@@ -48,25 +51,21 @@ def cmd_run(args) -> int:
         for key, value in sorted(system.stats.as_dict().items()):
             print(f"  {key} = {value}")
     if system.obs.enabled:
+        print(f"run:        {run_s:.4f} s host")
         _export_obs(args, config, system)
     return 0 if result.completed and not result.violations else 1
 
 
 def _export_obs(args, config: SystemConfig, system) -> None:
-    """Print the phase breakdown; write exporter files to --obs-dir."""
-    from repro.obs.export import (
-        format_phase_table,
-        snapshot_system,
-        write_prometheus,
-    )
+    """Write exporter files to --obs-dir."""
+    from repro.obs.export import snapshot_system, write_prometheus
     from repro.obs.manifest import run_manifest, write_manifest
 
-    snapshot = snapshot_system(system)
-    print(format_phase_table(snapshot))
     out_dir = getattr(args, "obs_dir", None)
     if not out_dir:
         return
     os.makedirs(out_dir, exist_ok=True)
+    snapshot = snapshot_system(system)
     manifest = run_manifest(
         config, workload=args.workload, ops=args.ops, seed=args.seed
     )

@@ -166,12 +166,6 @@ class Scheduler:
         "_late",
         "_late_count",
         "_halted",
-        "_obs_on",
-        "_obs_buckets",
-        "_obs_bucket_events",
-        "_obs_bucket_max",
-        "_obs_migrations",
-        "_obs_window_jumps",
     )
 
     def __init__(self, ring_size: int = RING_SIZE) -> None:
@@ -203,50 +197,21 @@ class Scheduler:
         #: that are not there.
         self._late_count = 0
         self._halted = False
-        # Observability (repro.obs): disabled by default.  The kernel
-        # keeps raw ints itself — an attribute add per *bucket* (not
-        # per event) when attached, a single false branch otherwise —
-        # and exposes them through :meth:`obs_snapshot`.
-        self._obs_on = False
-        self._obs_buckets = 0
-        self._obs_bucket_events = 0
-        self._obs_bucket_max = 0
-        self._obs_migrations = 0
-        self._obs_window_jumps = 0
 
     @property
     def events_processed(self) -> int:
         """Total callbacks executed so far (for progress/statistics)."""
         return self._events_processed
 
-    def attach_obs(self) -> None:
-        """Start collecting kernel-internal observability counters."""
-        self._obs_on = True
-
     def obs_snapshot(self) -> dict:
-        """Observable interface: queue state + (if attached) drain stats."""
-        snap = {
+        """Observable interface: queue state."""
+        return {
             "events_processed": self._events_processed,
             "pending": self.pending(),
             "now": self.now,
             "ring_size": self._ring_size,
             "overflow_pending": len(self._overflow),
         }
-        if self._obs_on:
-            buckets = self._obs_buckets
-            snap.update(
-                {
-                    "buckets_drained": buckets,
-                    "bucket_events": self._obs_bucket_events,
-                    "bucket_occupancy_mean": (
-                        self._obs_bucket_events / buckets if buckets else 0.0
-                    ),
-                    "bucket_occupancy_max": self._obs_bucket_max,
-                    "overflow_migrations": self._obs_migrations,
-                    "window_jumps": self._obs_window_jumps,
-                }
-            )
-        return snap
 
     def at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute cycle ``time``."""
@@ -483,9 +448,6 @@ class Scheduler:
                     bucket.append(event)
                 count += 1
             self._ring_count += count
-            if self._obs_on:
-                self._obs_window_jumps += 1
-                self._obs_migrations += count
 
     def _splice_late(self, t: int, bucket: list) -> bool:
         """Move cycle ``t``'s late lane into its (exhausted) bucket.
@@ -629,11 +591,6 @@ class Scheduler:
                 # here.  Appends are whole records, so ``i`` and ``n``
                 # always land on record boundaries.
                 n = len(bucket)
-                if self._obs_on:
-                    self._obs_buckets += 1
-                    self._obs_bucket_events += n
-                    if n > self._obs_bucket_max:
-                        self._obs_bucket_max = n
                 while True:
                     if i == n:
                         n = len(bucket)
@@ -708,12 +665,6 @@ class LegacyScheduler:
         "_late",
         "_late_count",
         "_halted",
-        "_obs_on",
-        "_obs_buckets",
-        "_obs_bucket_events",
-        "_obs_bucket_max",
-        "_obs_migrations",
-        "_obs_window_jumps",
     )
 
     def __init__(self, ring_size: int = RING_SIZE) -> None:
@@ -732,15 +683,8 @@ class LegacyScheduler:
         self._late: dict = {}
         self._late_count = 0
         self._halted = False
-        self._obs_on = False
-        self._obs_buckets = 0
-        self._obs_bucket_events = 0
-        self._obs_bucket_max = 0
-        self._obs_migrations = 0
-        self._obs_window_jumps = 0
 
     events_processed = Scheduler.events_processed
-    attach_obs = Scheduler.attach_obs
     obs_snapshot = Scheduler.obs_snapshot
     pending = Scheduler.pending
     halt = Scheduler.halt
@@ -854,9 +798,6 @@ class LegacyScheduler:
                 ring[time & mask].append(event)
                 count += 1
             self._ring_count += count
-            if self._obs_on:
-                self._obs_window_jumps += 1
-                self._obs_migrations += count
 
     def step(self) -> bool:
         """Run the next event.  Returns False if the queue is empty."""
@@ -919,11 +860,6 @@ class LegacyScheduler:
                 return
             i = 0
             n = len(bucket)
-            if self._obs_on:
-                self._obs_buckets += 1
-                self._obs_bucket_events += n
-                if n > self._obs_bucket_max:
-                    self._obs_bucket_max = n
             while True:
                 if i == n:
                     n = len(bucket)

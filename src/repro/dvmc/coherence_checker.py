@@ -221,14 +221,6 @@ class CoherenceChecker:
         self._h_pq_forced = [stats.handle(k) for k in self._stat_pq_forced]
         self._h_violations = [stats.handle(k) for k in self._stat_violations]
         self._values = stats.values
-        # Observability (repro.obs): per-bank probe and overlap-check
-        # counters, maintained only when attached.  Informs are orders
-        # of magnitude rarer than scheduler events, so a guarded int
-        # add per inform is well inside the obs overhead budget.
-        self._obs_on = False
-        self._obs_bank_pushes = [0] * MET_BANKS
-        self._obs_met_probes = 0
-        self._obs_overlap_checks = 0
         #: Flight recorder (None unless REPRO_OBS_SPANS; see obs.spans).
         self.spans = None
         self._span_cet_tracks: List[int] = []
@@ -241,10 +233,6 @@ class CoherenceChecker:
         num = self.config.num_nodes
         self._span_cet_tracks = [spans.track(f"cc.{n}") for n in range(num)]
         self._span_met_tracks = [spans.track(f"met.{n}") for n in range(num)]
-
-    def attach_obs(self) -> None:
-        """Start recording MET bank probes and overlap-check counts."""
-        self._obs_on = True
 
     def obs_snapshot(self) -> dict:
         """Observable interface: CET/MET occupancy + checking effort."""
@@ -264,9 +252,6 @@ class CoherenceChecker:
                 sum(len(banks[b]) for banks in self._met)
                 for b in range(MET_BANKS)
             ],
-            "met_bank_pushes": list(self._obs_bank_pushes),
-            "met_probes": self._obs_met_probes,
-            "epoch_overlap_checks": self._obs_overlap_checks,
             "pq_depth": pq_depth,
             "pq_capacity": self.config.dvmc.priority_queue_entries,
             "pq_forced_drains": sum(
@@ -582,8 +567,6 @@ class CoherenceChecker:
         # the inform's sole consumer, so the wire record recycles here.
         release(msg)
         bank = (block >> _BANK_SHIFT) & _BANK_MASK
-        if self._obs_on:
-            self._obs_bank_pushes[bank] += 1
         heapq.heappush(self._pq[home][bank], record)
         self._pq_len[home] += 1
         if self._pq_len[home] > self.config.dvmc.priority_queue_entries:
@@ -653,8 +636,6 @@ class CoherenceChecker:
                         )
 
     def _met_entry(self, home: int, block: int) -> METEntry:
-        if self._obs_on:
-            self._obs_met_probes += 1
         met = self._met[home][(block >> _BANK_SHIFT) & _BANK_MASK]
         entry = met.get(block)
         if entry is None:
@@ -749,8 +730,6 @@ class CoherenceChecker:
             query_end = end if end > begin else begin + 1
         else:
             query_end = None
-        if self._obs_on:
-            self._obs_overlap_checks += 1
         if is_rw:
             limit = (
                 entry.floor_rw

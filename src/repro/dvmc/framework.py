@@ -62,11 +62,6 @@ class DVMC:
             self.uo_checkers or self.ar_checkers or self.coherence_checker
         )
 
-    def attach_obs(self) -> None:
-        """Turn on internal observability counters in every checker."""
-        if self.coherence_checker is not None:
-            self.coherence_checker.attach_obs()
-
     def obs_snapshot(self) -> dict:
         """Observable interface: one view over every attached checker.
 

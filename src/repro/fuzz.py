@@ -44,7 +44,7 @@ from repro.common.types import MembarMask
 from repro.config import SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.faults.injector import ALL_FAULT_KINDS, FaultInjector, FaultKind, FaultPlan
-from repro.obs.fuzz_counters import OUTCOMES, FuzzCounters
+from repro.obs.hub import MetricsHub
 from repro.oracle import check_trace
 from repro.parallel import run_points
 from repro.processor.operations import Atomic, Compute, Load, Membar, Stbar, Store
@@ -55,6 +55,15 @@ from repro.workloads.litmus_gen import LitmusSpec, classics, generate, slot_addr
 #: Fatal differential outcomes (see module docstring).
 FATAL_ALWAYS = "missed_violation"
 FATAL_UNLESS_FAULT = "online_only"
+
+#: Differential outcome classes (see :func:`classify`).
+OUTCOMES = (
+    "agree_clean",
+    "agree_violation",
+    "online_only",
+    "missed_violation",
+    "undecided",
+)
 
 #: Cap on recorded reruns of non-fatal ``undecided`` cases per campaign.
 MAX_UNDECIDED_FORENSICS = 5
@@ -547,7 +556,6 @@ def run_fuzz_campaign(
     jobs: Optional[int] = None,
     corpus_dir: Optional[str] = None,
     reproducer_dir: Optional[str] = None,
-    counters: Optional[FuzzCounters] = None,
     shrink: bool = True,
 ) -> FuzzReport:
     """Execute a case list and differential-check every run.
@@ -555,8 +563,19 @@ def run_fuzz_campaign(
     Fatal mismatches are shrunk (serially, after the parallel sweep)
     and written to ``reproducer_dir``; mismatches whose shrunk shape is
     already committed under ``corpus_dir`` are flagged ``known``.
+    Campaign counts live on a :class:`MetricsHub` whatever ``REPRO_OBS``
+    says: they are the campaign's product, not a diagnostic.
     """
-    counters = counters or FuzzCounters()
+    hub = MetricsHub()
+    cases_seen = hub.counter("fuzz.cases")
+    outcome_counts = {
+        name: hub.counter(f"fuzz.outcome.{name}") for name in OUTCOMES
+    }
+    mismatch_count = hub.counter("fuzz.mismatches")
+    known_count = hub.counter("fuzz.mismatches.known")
+    shrink_steps = hub.counter("fuzz.shrink.steps")
+    trace_events = hub.histogram("fuzz.trace.events")
+    oracle_branches = hub.histogram("fuzz.oracle.branches")
     start = time.perf_counter()
     results = run_points(list(cases), jobs=jobs, worker=run_case)
     known = corpus_keys(corpus_dir) if corpus_dir else set()
@@ -565,7 +584,10 @@ def run_fuzz_campaign(
     forensics: List[str] = []
     undecided_explained = 0
     for result in results:
-        counters.record_case(result.outcome, result.oracle_stats)
+        cases_seen.add()
+        outcome_counts[result.outcome].add()
+        trace_events.record(result.oracle_stats.get("events", 0))
+        oracle_branches.record(result.oracle_stats.get("branches", 0))
         if (
             result.outcome == "undecided"
             and reproducer_dir
@@ -588,9 +610,11 @@ def run_fuzz_campaign(
         case, detail = result.case, result.detail
         if shrink:
             case, steps = shrink_case(result.case)
-            counters.record_shrink_steps(steps)
+            shrink_steps.add(steps)
         is_known = case_key(case) in known
-        counters.record_mismatch(known=is_known)
+        mismatch_count.add()
+        if is_known:
+            known_count.add()
         entry = {
             "case": case.to_json(),
             "original": result.case.to_json(),
@@ -612,18 +636,20 @@ def run_fuzz_campaign(
                 artifacts = []
             forensics.extend(artifacts)
             entry["forensics"] = artifacts
-    outcomes = {
-        name: value
-        for name, value in counters.summary().items()
-        if name in OUTCOMES
-    }
+    outcomes = {name: c.value for name, c in outcome_counts.items()}
     return FuzzReport(
-        summary=counters.summary(),
+        summary={
+            "cases": cases_seen.value,
+            **outcomes,
+            "mismatches": mismatch_count.value,
+            "mismatches_known": known_count.value,
+            "shrink_steps": shrink_steps.value,
+        },
         outcomes=outcomes,
         mismatches=mismatches,
         reproducers=reproducers,
         corpus_size=len(corpus_files(corpus_dir)) if corpus_dir else 0,
         elapsed_seconds=round(time.perf_counter() - start, 3),
-        hub_snapshot=counters.snapshot(),
+        hub_snapshot=hub.snapshot(),
         forensics=forensics,
     )

@@ -1,4 +1,4 @@
-"""Observability plane: metrics, phase timing, exporters, event traces.
+"""Observability plane: metrics, exporters, event traces, spans.
 
 Everything here is *off by default* and guaranteed not to change
 simulation results: a run with ``REPRO_OBS=1`` produces bit-identical
@@ -11,14 +11,10 @@ Layout:
 * :mod:`repro.obs.hub` — :class:`MetricsHub`, the counter / gauge /
   histogram registry; :data:`NULL_HUB` is the shared disabled-mode hub
   whose instruments are no-ops.
-* :mod:`repro.obs.phases` — :class:`PhaseTimer`, attributing wall time
-  to simulate / verify / drain / serialize.
 * :mod:`repro.obs.export` — run snapshots, Prometheus-style text
   exporter (imported on demand; no cost on the simulation path).
 * :mod:`repro.obs.manifest` — per-run provenance manifest (config
   hash, seed, git sha, python/platform).
-* :mod:`repro.obs.otrace` — ring-buffer backed sampled JSONL event
-  trace (``REPRO_OBS_TRACE=path``).
 * :mod:`repro.obs.spans` — transaction flight recorder
   (``REPRO_OBS_SPANS=1``): ints-only causal spans following each
   memory operation across core, write buffer, caches, interconnect,
@@ -31,8 +27,15 @@ Layout:
 
 Enablement: ``REPRO_OBS=1`` in the environment (worker processes
 inherit it) or ``--obs`` on the CLI, which sets the variable before
-any system is built.  ``REPRO_OBS_TRACE=path`` additionally records a
-sampled memory-operation trace regardless of ``REPRO_OBS``.
+any system is built.  It decides only whether a system gets a real
+:class:`MetricsHub` and whether its run is snapshotted; the simulator
+keeps no counters of its own for it.
+
+``REPRO_OBS_TRACE=path`` records every core's memory operations,
+whatever ``REPRO_OBS`` says, into a plain
+:class:`~repro.verify.trace.Trace` (the recorder the differential fuzz
+rig uses) and writes the whole trace to ``path`` as JSON Lines when
+``System.run`` returns; ``repro.cli oracle path`` checks it.
 """
 
 from __future__ import annotations
@@ -48,16 +51,11 @@ from repro.obs.hub import (
     NullHub,
     ObsHistogram,
 )
-from repro.obs.phases import NULL_TIMER, NullPhaseTimer, PhaseTimer
 
-#: Environment variable enabling the metrics/phase plane.
+#: Environment variable enabling the metrics hub and run snapshots.
 OBS_ENV = "REPRO_OBS"
 #: Environment variable naming the JSONL event-trace output path.
 TRACE_ENV = "REPRO_OBS_TRACE"
-#: Ring capacity (records kept) for the event trace.
-TRACE_CAP_ENV = "REPRO_OBS_TRACE_CAP"
-#: Sampling stride for the event trace (keep every Nth operation).
-TRACE_SAMPLE_ENV = "REPRO_OBS_TRACE_SAMPLE"
 #: Environment variable enabling the transaction flight recorder.
 SPANS_ENV = "REPRO_OBS_SPANS"
 #: Ring capacity (closed spans kept) for the flight recorder.
@@ -104,33 +102,22 @@ def new_hub() -> "MetricsHub | NullHub":
     return MetricsHub() if enabled() else NULL_HUB
 
 
-def new_phase_timer() -> "PhaseTimer | NullPhaseTimer":
-    """A phase timer for one system, null when disabled."""
-    return PhaseTimer() if enabled() else NULL_TIMER
-
-
 __all__ = [
     "Counter",
     "Gauge",
     "MetricsHub",
     "NULL_HUB",
     "NULL_INSTRUMENT",
-    "NULL_TIMER",
     "NullHub",
-    "NullPhaseTimer",
     "OBS_ENV",
     "ObsHistogram",
-    "PhaseTimer",
     "SPANS_CAP_ENV",
     "SPANS_ENV",
     "SPANS_OUT_ENV",
     "SPANS_SAMPLE_ENV",
-    "TRACE_CAP_ENV",
     "TRACE_ENV",
-    "TRACE_SAMPLE_ENV",
     "enabled",
     "new_hub",
-    "new_phase_timer",
     "new_span_recorder",
     "spans_enabled",
     "spans_out_path",

@@ -5,7 +5,7 @@ layer exposes its own ``obs_snapshot()`` (scheduler, networks, cache
 arrays, DVMC checkers — the RealityCheck argument that a verification
 stack scales only when every layer is independently observable), and
 the snapshot combines those with the push-side :class:`~repro.obs.hub.
-MetricsHub` instruments and the phase timer.  The result is a plain
+MetricsHub` instruments.  The result is a plain
 JSON-safe dict, merged into :class:`~repro.parallel.RunMetrics` as its
 ``obs`` field (excluded from equality, so observed and unobserved runs
 still compare bit-identical on the deterministic payload).
@@ -31,7 +31,6 @@ PROM_PREFIX = "repro"
 def snapshot_system(system) -> Dict[str, Any]:
     """Plain-data observability snapshot of a built system."""
     snap: Dict[str, Any] = system.obs.snapshot()
-    snap["phases"] = system.obs_phases.snapshot()
 
     layers: Dict[str, Any] = {"scheduler": system.scheduler.obs_snapshot()}
 
@@ -47,8 +46,6 @@ def snapshot_system(system) -> Dict[str, Any]:
     }
     layers["dvmc"] = system.dvmc.obs_snapshot()
     layers["wakeups"] = system.wake_hub.obs_snapshot()
-    if system.obs_trace is not None:
-        layers["trace"] = system.obs_trace.stats()
     snap["layers"] = layers
     return snap
 
@@ -78,8 +75,8 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = PROM_PREFIX) -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
     Counters become ``<prefix>_<name>_total`` counter series; every
-    other numeric leaf (gauges, histogram fields, phase seconds, layer
-    snapshots) becomes a gauge.  Deeply nested keys flatten with ``_``.
+    other numeric leaf (gauges, histogram fields, layer snapshots)
+    becomes a gauge.  Deeply nested keys flatten with ``_``.
     """
     lines: List[str] = []
 
@@ -90,7 +87,7 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = PROM_PREFIX) -> str:
         lines.append(f"{name} {value}")
 
     flat: List = []
-    for section in ("gauges", "histograms", "phases", "layers"):
+    for section in ("gauges", "histograms", "layers"):
         _flatten(section, snapshot.get(section, {}), flat)
     for key, value in flat:
         name = f"{prefix}_{sanitize_metric_name(key)}"
@@ -107,23 +104,3 @@ def write_prometheus(path: str, snapshot: Dict[str, Any]) -> None:
     os.makedirs(parent, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(to_prometheus(snapshot))
-
-
-def format_phase_table(snapshot: Dict[str, Any]) -> str:
-    """Human-readable phase breakdown (the CLI's ``--obs`` output)."""
-    phases = snapshot.get("phases", {})
-    exclusive = phases.get("exclusive", {})
-    inclusive = phases.get("inclusive", {})
-    if not exclusive:
-        return "(no phase data recorded)"
-    total = sum(exclusive.values()) or 1.0
-    rows = ["phase         exclusive      incl.    share"]
-    for name, secs in sorted(
-        exclusive.items(), key=lambda kv: -kv[1]
-    ):
-        rows.append(
-            f"{name:<12}{secs:>9.4f} s {inclusive.get(name, 0.0):>9.4f} s "
-            f"{secs / total:>7.1%}"
-        )
-    rows.append(f"{'total':<12}{total:>9.4f} s")
-    return "\n".join(rows)

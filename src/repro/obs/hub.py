@@ -1,18 +1,19 @@
 """Metrics registry: counters, gauges and histograms for one run.
 
 The hub is the push half of the observability plane (see
-:mod:`repro.obs`): components that produce *new* measurements — the
-scheduler's bucket occupancy, the MET's bank probes — register named
-instruments and update them while the simulation runs.  Everything already counted in the simulation-visible
-:class:`~repro.common.stats.StatsRegistry` stays there (those counters
-are part of the deterministic run output); the exporter pulls both
-sides together at snapshot time.
+:mod:`repro.obs`).  Its users are off the simulation path: a system's
+run totals (``run.events_processed``, ``run.violations``,
+``run.cycles``, written once when ``System.run`` returns) and the
+differential fuzz campaign's case, outcome and mismatch counts.
+Everything counted inside the simulation lives in the
+:class:`~repro.common.stats.StatsRegistry` (part of the deterministic
+run output) or in each layer's ``obs_snapshot()``; the exporter pulls
+them together at snapshot time.
 
-Cost model: when observability is disabled (the default) components
-hold the module-level no-op instruments below, so the hot paths pay at
-most a single attribute test.  The real instruments are plain
-``__slots__`` objects whose update is one attribute add — cheap enough
-that the benchmark gates total obs overhead at a few percent.
+Cost model: when observability is disabled (the default) a system holds
+:data:`NULL_HUB`, whose instruments are one shared no-op.  The real
+instruments are plain ``__slots__`` objects whose update is one
+attribute add.
 """
 
 from __future__ import annotations

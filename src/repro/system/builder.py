@@ -47,6 +47,7 @@ from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
 from repro.processor.core import Core
 from repro.recovery.safetynet import SafetyNet
+from repro.verify.trace import Trace, dump_jsonl, record_program
 from repro.workloads.suite import make_program
 
 #: Directory logical-clock period (cycles per logical tick).
@@ -83,7 +84,7 @@ class System:
             self.scheduler,
             poll_mode=os.environ.get("REPRO_POLL", "0") == "1",
         )
-        #: Armed only inside :meth:`run`'s simulate phase: lets the last
+        #: Armed only while :meth:`run` drives the kernel: lets the last
         #: core's quiescence halt the kernel at a bucket boundary
         #: instead of polling ``stop_when`` every N events.  Kept off
         #: during :meth:`run_cycles` / :meth:`drain_epochs` /
@@ -103,12 +104,14 @@ class System:
         #: Callbacks invoked after every :meth:`run` returns, e.g. a
         #: fault injector flushing a still-pending plan as not-landed.
         self.finalizers: List[Callable[[], None]] = []
-        #: Observability plane (null objects unless ``REPRO_OBS`` is
-        #: set when :func:`build_system` runs; never feeds back into
-        #: the simulation).
+        #: Metrics hub (the null hub unless ``REPRO_OBS`` is set when
+        #: :func:`build_system` runs; never feeds back into the
+        #: simulation).
         self.obs = obs.NULL_HUB
-        self.obs_phases = obs.NULL_TIMER
-        self.obs_trace = None  # TraceRing when REPRO_OBS_TRACE is set
+        #: Every core's memory operations, recorded when
+        #: ``REPRO_OBS_TRACE=path`` is set and written there as JSONL
+        #: when :meth:`run` returns (readable by ``repro.cli oracle``).
+        self.obs_trace: Optional[Trace] = None
         self._obs_trace_path: Optional[str] = None
         #: Transaction flight recorder (SpanRecorder when
         #: ``REPRO_OBS_SPANS`` is set; never feeds back into the run).
@@ -131,49 +134,44 @@ class System:
         remaining (unless ``allow_incomplete``, used by fault campaigns
         where injected errors may legitimately hang the machine).
         """
-        phases = self.obs_phases
-        with phases.phase("simulate"):
-            for core in self.cores:
-                core.start()
-            # Event-driven stop: each core reports quiescence exactly
-            # once (via ``on_quiescent``); the last report halts the
-            # kernel at the current bucket boundary.  No per-event
-            # ``stop_when`` polling, and the stop cycle is identical in
-            # wakeup and poll modes.
-            self._halt_on_quiesce = True
-            try:
-                if all(core.quiescent for core in self.cores):
-                    # Already drained before this run (e.g. a second
-                    # ``run`` call): nothing will re-report, so halt
-                    # up front.
-                    self.scheduler.halt()
-                self.scheduler.run(until=max_cycles)
-            finally:
-                self._halt_on_quiesce = False
-        with phases.phase("verify"):
-            self.dvmc.finalize()
-        with phases.phase("drain"):
-            for finalize in self.finalizers:
-                finalize()
-        with phases.phase("serialize"):
-            result = RunResult(self)
-            if self.obs.enabled:
-                self.obs.counter("run.events_processed").add(
-                    self.scheduler.obs_snapshot()["events_processed"]
-                )
-                self.obs.counter("run.violations").add(
-                    len(self.dvmc.violations)
-                )
-                self.obs.gauge("run.cycles").set(self.scheduler.now)
-            if self.obs_trace is not None and self._obs_trace_path:
-                self.obs_trace.write_jsonl(self._obs_trace_path)
-            if self.spans is not None:
-                self.spans.finalize(self.scheduler.now)
-                spans_out = obs.spans_out_path()
-                if spans_out:
-                    from repro.obs.chrome_trace import write_chrome_trace
+        for core in self.cores:
+            core.start()
+        # Event-driven stop: each core reports quiescence exactly once
+        # (via ``on_quiescent``); the last report halts the kernel at
+        # the current bucket boundary.  No per-event ``stop_when``
+        # polling, and the stop cycle is identical in wakeup and poll
+        # modes.
+        self._halt_on_quiesce = True
+        try:
+            if all(core.quiescent for core in self.cores):
+                # Already drained before this run (e.g. a second
+                # ``run`` call): nothing will re-report, so halt up
+                # front.
+                self.scheduler.halt()
+            self.scheduler.run(until=max_cycles)
+        finally:
+            self._halt_on_quiesce = False
+        self.dvmc.finalize()
+        for finalize in self.finalizers:
+            finalize()
+        result = RunResult(self)
+        if self.obs.enabled:
+            self.obs.counter("run.events_processed").add(
+                self.scheduler.events_processed
+            )
+            self.obs.counter("run.violations").add(len(self.dvmc.violations))
+            self.obs.gauge("run.cycles").set(self.scheduler.now)
+        if self.obs_trace is not None:
+            path = self._obs_trace_path
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            dump_jsonl(self.obs_trace.events, path)
+        if self.spans is not None:
+            self.spans.finalize(self.scheduler.now)
+            spans_out = obs.spans_out_path()
+            if spans_out:
+                from repro.obs.chrome_trace import write_chrome_trace
 
-                    write_chrome_trace(spans_out, self.spans)
+                write_chrome_trace(spans_out, self.spans)
         if not result.completed and not allow_incomplete:
             stuck = [c.node for c in self.cores if not c.quiescent]
             raise DeadlockError(
@@ -279,15 +277,10 @@ def build_system(
     num = config.num_nodes
 
     # Observability (REPRO_OBS / REPRO_OBS_TRACE) -------------------------
-    if obs.enabled():
-        system.obs = obs.new_hub()
-        system.obs_phases = obs.new_phase_timer()
-        sched.attach_obs()
+    system.obs = obs.new_hub()
     trace_dest = obs.trace_path()
     if trace_dest:
-        from repro.obs.otrace import TraceRing
-
-        system.obs_trace = TraceRing.from_env()
+        system.obs_trace = Trace()
         system._obs_trace_path = trace_dest
     spans = obs.new_span_recorder()
     system.spans = spans
@@ -381,10 +374,8 @@ def build_system(
             )
         )
         if system.obs_trace is not None:
-            from repro.verify.trace import record_program
-
             # Transparent generator wrapper: forwards every operation
-            # and result unchanged, sampling into the obs trace ring.
+            # and result unchanged, appending each to the trace.
             program = record_program(n, program, system.obs_trace)
         core = Core(
             n,
@@ -429,8 +420,6 @@ def build_system(
     hooks.on_invalidation(
         lambda node, block: system.cores[node].on_invalidation(block)
     )
-    if system.obs.enabled:
-        system.dvmc.attach_obs()
 
     # Flight recorder (REPRO_OBS_SPANS) --------------------------------
     # Attached last, in a fixed order, so track ids are deterministic

@@ -81,8 +81,8 @@ class TraceEvent:
 
 
 # -- JSONL codec -----------------------------------------------------------
-# Shared by the offline oracle and the observability plane's sampled
-# event trace (repro.obs.otrace): one JSON object per line, stable key
+# Shared by the offline oracle and the full-run event trace that
+# ``REPRO_OBS_TRACE=path`` writes: one JSON object per line, stable key
 # order, round-trip exact (the obs tests assert load(dump(t)) == t).
 
 _EVENT_FIELDS = ("core", "index", "kind", "addr", "value", "old_value", "mask")

@@ -1,53 +1,12 @@
-"""TraceRing sampling/eviction and the JSONL codec round trip."""
+"""The JSONL trace codec round trip."""
 
-from repro.obs.otrace import TraceRing
 from repro.verify.trace import (
-    Trace,
     TraceEvent,
     dump_jsonl,
     event_from_dict,
     event_to_dict,
     load_jsonl,
 )
-
-
-def make_events(n, core=0):
-    return [TraceEvent(core, i, "store", 4 * i, i) for i in range(n)]
-
-
-class TestTraceRing:
-    def test_keeps_the_tail(self):
-        ring = TraceRing(capacity=4)
-        for ev in make_events(10):
-            ring.events.append(ev)
-        assert len(ring) == 4
-        assert [e.index for e in ring.tail()] == [6, 7, 8, 9]
-        stats = ring.stats()
-        assert stats["seen"] == 10
-        assert stats["kept"] == 4
-        assert stats["dropped"] == 6
-
-    def test_sampling_keeps_one_in_n(self):
-        ring = TraceRing(capacity=100, sample=3)
-        for ev in make_events(9):
-            ring.events.append(ev)
-        assert ring.stats()["seen"] == 9
-        assert [e.index for e in ring.tail()] == [2, 5, 8]
-
-    def test_from_env_reads_cap_and_sample(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_TRACE_CAP", "16")
-        monkeypatch.setenv("REPRO_OBS_TRACE_SAMPLE", "4")
-        ring = TraceRing.from_env()
-        assert ring.capacity == 16
-        assert ring.sample == 4
-
-    def test_to_trace_is_offline_checkable(self):
-        ring = TraceRing(capacity=8)
-        for ev in make_events(3):
-            ring.events.append(ev)
-        trace = ring.to_trace()
-        assert isinstance(trace, Trace)
-        assert trace.events == make_events(3)
 
 
 class TestJsonlCodec:
@@ -64,11 +23,3 @@ class TestJsonlCodec:
         path = tmp_path / "trace.jsonl"
         assert dump_jsonl(events, str(path)) == 3
         assert load_jsonl(str(path)).events == events
-
-    def test_ring_write_jsonl_round_trips(self, tmp_path):
-        ring = TraceRing(capacity=4)
-        for ev in make_events(6):
-            ring.events.append(ev)
-        path = tmp_path / "deep" / "tail.jsonl"
-        assert ring.write_jsonl(str(path)) == 4
-        assert load_jsonl(str(path)).events == ring.tail()
