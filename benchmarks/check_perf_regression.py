@@ -127,7 +127,6 @@ def main(argv=None) -> int:
     for key, label in (
         ("events_per_sec", "serial"),
         ("kernel_events_per_sec", "kernel"),
-        ("flat_kernel_events_per_sec", "flat kernel"),
     ):
         base = baseline.get(key)
         cand = candidate.get(key)

@@ -10,37 +10,29 @@ the window ``[now, window_end)`` plus an overflow heap for far-future
 events (periodic heartbeats, checkpoint timers).  Scheduling inside the
 window — the overwhelmingly common case: pipeline stages, cache and
 link latencies are all far smaller than the ring — is an O(1) list
-append, and draining a cycle is a linear walk of its bucket, replacing
-the old heap's O(log n) push/pop and its per-event tuple allocation.
-The window is never wider than the ring, so a bucket only ever holds
-one cycle's events, appended in schedule order; execution therefore
-preserves the exact ``(time, seq)`` order of the heap-based kernel and
-serial results stay bit-identical.
+append, and draining a cycle is a linear walk of its bucket.  The
+window is never wider than the ring, so a bucket only ever holds one
+cycle's events, appended in schedule order; execution therefore keeps
+the exact ``(time, seq)`` order of a plain binary heap, the reference
+model the kernel tests compare against.
 
-Two kernels share this contract:
-
-* :class:`Scheduler` — the **flat kernel** (default).  Hot-path records
-  are stored *flat* inside the bucket list itself (two adjacent slots:
-  callback, args) so a ``post`` allocates nothing, and a min-heap of
-  occupied bucket times lets the drain cursor jump quiescent cycle
-  spans in O(log b) instead of walking empty buckets one by one.  A
-  bucket list is created by the first post into its ring slot and
-  reused once drained, so a short run allocates only the buckets it
-  touches.
-* :class:`LegacyScheduler` — the previous object/tuple kernel, kept
-  verbatim as the ``REPRO_FLAT_KERNEL=0`` escape hatch and as the
-  reference implementation for equivalence tests.
-
-:func:`make_scheduler` picks between them from the environment; both
-are asserted bit-identical across the full workload × protocol matrix
-in ``tests/integration/test_flat_kernel_identity.py``.
+One kernel, one record shape, no handles.  Every record is a flat
+``(callback, args)`` pair: stored as two adjacent slots inside a bucket
+list (so a ``post`` allocates nothing) and as a ``(time, seq,
+callback, args)`` tuple in the overflow heap, whose migration into the
+ring appends the same two slots.  Nothing returns a handle and nothing
+is cancellable: no component ever withdrew a scheduled event, so the
+drain loop runs every record it reaches without inspecting it.  A
+min-heap of occupied bucket times lets the drain cursor jump quiescent
+cycle spans in O(log b) instead of walking empty buckets one by one.
+A bucket list is created by the first post into its ring slot and
+reused once drained, so a short run allocates only the buckets it
+touches.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -52,9 +44,9 @@ from .errors import SimulationError
 #: window advances past them.
 RING_SIZE = 2048
 
-#: Batch-advance threshold K (flat kernel): a post due within K cycles
-#: is *dense* and costs nothing extra to schedule — the drain cursor
-#: finds it with a short bucket walk.  A post due further out is
+#: Batch-advance threshold K: a post due within K cycles is *dense* and
+#: costs nothing extra to schedule — the drain cursor finds it with a
+#: short bucket walk.  A post due further out is
 #: *sparse* and registers its bucket time in a small min-heap, so a
 #: quiescent span of more than K cycles is jumped with one heap pop
 #: instead of being probed bucket by bucket.
@@ -65,73 +57,26 @@ def _noop() -> None:
     """Sentinel callback for late-lane cycles (see ``post_late``)."""
 
 
-class Event:
-    """Handle for a scheduled callback; supports cancellation.
-
-    The compatibility shell for cold paths: anything needing a handle
-    (cancellable timers, heartbeats) goes through :meth:`Scheduler.at`
-    / :meth:`Scheduler.after` and gets one of these; the hot no-handle
-    path (:meth:`Scheduler.post`) never allocates an ``Event``.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sched")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        sched: Optional["Scheduler"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        # Owning scheduler, so cancellation can keep the scheduler's
-        # cancelled-slot count exact for pending().  Cleared when the
-        # event is consumed (run or skipped) so a late cancel() on a
-        # dead handle cannot skew the count.
-        self._sched = sched
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sched = self._sched
-        if sched is not None:
-            sched._cancelled += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
 class Scheduler:
     """Deterministic discrete-event scheduler keyed by cycle count.
 
-    This is the **flat kernel**.  See the module docstring for the
-    calendar-queue layout.  Representation:
+    See the module docstring for the calendar-queue layout.
+    Representation:
 
-    * a bucket is a flat list mixing two record shapes — a hot
-      ``post``/``post_at`` record occupies two adjacent slots
-      (``callback, args``; nothing is allocated to schedule it), while
-      a cold :meth:`at`/:meth:`after` record is a single
-      :class:`Event` slot.  The drain walk tells them apart with one
-      class check per record;
+    * a bucket is a flat list of records, each occupying two adjacent
+      slots (``callback, args``); nothing is allocated to schedule one;
     * a ring slot holds ``None`` until the first record is posted into
-      it (``post``/``post_at``/``at`` or an overflow migration); that
-      post creates the slot's bucket list, and a drained bucket stays
-      in place, emptied, for the slot's next cycle.  Every reader
-      treats ``None`` like an empty bucket;
+      it (``post``/``post_at`` or an overflow migration); that post
+      creates the slot's bucket list, and a drained bucket stays in
+      place, emptied, for the slot's next cycle.  Every reader treats
+      ``None`` like an empty bucket;
     * ``_times`` is a min-heap of *sparse* bucket times — targets of
       posts due more than :data:`DENSE_SPAN` cycles out (plus overflow
-      migrations).  Dense posts pay nothing; the drain cursor walks at
-      most ``DENSE_SPAN`` buckets (which provably covers every pending
-      dense record) and then batch-advances: one lazy heap pop jumps a
-      quiescent span of any length straight to the next occupied
-      sparse bucket.
+      migrations into empty buckets).  Dense posts pay nothing; the
+      drain cursor walks at most ``DENSE_SPAN`` buckets (which provably
+      covers every pending dense record) and then batch-advances: one
+      lazy heap pop jumps a quiescent span of any length straight to
+      the next occupied sparse bucket.
 
     Invariants:
 
@@ -156,7 +101,6 @@ class Scheduler:
         "_mask",
         "_ring_size",
         "_ring_count",
-        "_cancelled",
         "_times",
         "_overflow",
         "_window_end",
@@ -175,13 +119,13 @@ class Scheduler:
         self._ring: List[Optional[list]] = [None] * ring_size
         self._mask = ring_size - 1
         self._ring_size = ring_size
-        #: Records (including cancelled ones) currently in ring buckets.
+        #: Records currently in ring buckets.
         self._ring_count = 0
-        #: Cancelled-but-not-yet-drained events (ring or overflow).
-        self._cancelled = 0
         #: Min-heap of occupied bucket times (may hold stale entries).
         self._times: List[int] = []
-        self._overflow: List[Tuple[int, int, Event]] = []
+        #: Far-future records as ``(time, seq, callback, args)``; the
+        #: sequence number only orders same-cycle entries in the heap.
+        self._overflow: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         self._window_end = ring_size
         self._counter = itertools.count()
         self.now = 0
@@ -213,44 +157,17 @@ class Scheduler:
             "overflow_pending": len(self._overflow),
         }
 
-    def at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self.now}"
-            )
-        event = Event(time, next(self._counter), callback, args, self)
-        if time < self._window_end:
-            bucket = self._ring[time & self._mask]
-            if time - self.now > DENSE_SPAN and not bucket:
-                heappush(self._times, time)
-            if bucket is None:
-                self._ring[time & self._mask] = [event]
-            else:
-                bucket.append(event)
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, event.seq, event))
-        return event
-
-    def after(self, delay: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, callback, *args)
-
     def post(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now, cheaply.
+        """Schedule ``callback(*args)`` ``delay`` cycles from now.
 
-        The no-handle, no-allocation fast path for hot call sites that
-        never cancel: an in-window record is stored *flat in the bucket
-        itself* as two adjacent slots (``callback``, ``args``) — no
-        :class:`Event`, no wrapper tuple, no sequence number (the
-        bucket's append order alone carries the tie-break, which is
-        exactly the insertion order the counter would have recorded).
-        Out-of-window posts fall back to a real overflow
-        :class:`Event`, whose heap ordering does need a sequence
-        number.
+        An in-window record is stored *flat in the bucket itself* as two
+        adjacent slots (``callback``, ``args``) — no wrapper object and
+        no sequence number: the bucket's append order alone carries the
+        tie-break.  An out-of-window record goes to the overflow heap as
+        ``(time, seq, callback, args)``, where the sequence number keeps
+        same-cycle entries in post order.  Scheduled records cannot be
+        withdrawn; a component that may no longer want its callback
+        checks its own state when the callback runs.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -266,16 +183,14 @@ class Scheduler:
                 bucket.append(args)
             self._ring_count += 1
         else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
+            heappush(self._overflow, (time, next(self._counter), callback, args))
 
     def post_at(self, time: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``, cheaply.
+        """Schedule ``callback(*args)`` at absolute cycle ``time``.
 
         Absolute-time twin of :meth:`post`: same flat two-slot record
-        in-window, same overflow :class:`Event` fallback, same
-        no-cancellation contract; rejects times in the past exactly
-        like :meth:`at`.
+        in-window, same overflow tuple beyond it; rejects times in the
+        past.
         """
         if time < self.now:
             raise SimulationError(
@@ -292,8 +207,7 @@ class Scheduler:
                 bucket.append(args)
             self._ring_count += 1
         else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
+            heappush(self._overflow, (time, next(self._counter), callback, args))
 
     def post_late(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
         """Schedule ``callback(*args)`` in cycle ``now + delay``'s *late lane*.
@@ -343,43 +257,31 @@ class Scheduler:
     def pending(self) -> int:
         """Number of queued events still due to run, exact per event.
 
-        Cancelled-but-undrained slots are excluded (the scheduler keeps
-        an exact count as they are cancelled and as the drain reaps
-        them), so a periodic check polling ``pending()`` to decide
-        whether to re-arm itself is not kept alive by dead timers.
-
+        Ring, late-lane and overflow records; every one of them runs.
         Late-lane records (:meth:`post_late`) and their per-cycle
         sentinel each count as one pending event until they run.
         Waiters parked on a :class:`~repro.common.waitsets.WaitSet` are
-        *not* scheduler events and never appear here — a parked (or
-        parked-then-cancelled) waiter contributes nothing; only the
-        per-cycle agenda record that an *armed* waiter shares with its
-        cycle is counted, and that record always runs.
+        *not* scheduler events and never appear here — a parked waiter
+        contributes nothing; only the per-cycle agenda record that an
+        *armed* waiter shares with its cycle is counted.
         """
-        return (
-            self._ring_count
-            + self._late_count
-            + len(self._overflow)
-            - self._cancelled
-        )
+        return self._ring_count + self._late_count + len(self._overflow)
 
     def _locate(
         self, limit: Optional[int] = None
     ) -> Optional[Tuple[int, Optional[list]]]:
         """Cursor to the next non-empty bucket, or None when drained.
 
-        Shared by :meth:`run` and :meth:`step`, so both paths advance
-        ``now``, skip cancelled events, and count ``events_processed``
-        identically.  Does not consume events.  The bucket walk is
-        bounded: after :data:`DENSE_SPAN` empty probes (which provably
-        cover every pending dense record) the cursor batch-advances
-        through the ``_times`` heap of sparse bucket times (stale heads
-        — entries below the window floor or naming since-emptied
-        buckets — are popped lazily), so a long quiescent span is
-        jumped in one heap operation rather than probed bucket by
-        bucket.  When the ring is empty
-        the window jumps to the earliest overflow event and every
-        overflow event inside the new window migrates into the ring (in
+        The slow path of :meth:`run`'s inline cursor.  Does not consume
+        events.  The bucket walk is bounded: after :data:`DENSE_SPAN`
+        empty probes (which provably cover every pending dense record)
+        the cursor batch-advances through the ``_times`` heap of sparse
+        bucket times (stale heads — entries below the window floor or
+        naming since-emptied buckets — are popped lazily), so a long
+        quiescent span is jumped in one heap operation rather than
+        probed bucket by bucket.  When the ring is empty the window
+        jumps to the earliest overflow event and every overflow event
+        inside the new window migrates into the ring as flat pairs (in
         heap order, preserving ``(time, seq)``) — except that with a
         ``limit`` the jump is *not* committed when the earliest event
         lies beyond it: ``(time, None)`` is returned instead, leaving
@@ -435,17 +337,17 @@ class Scheduler:
                 return first, None
             end = first + self._ring_size
             self._window_end = end
-            pop = heapq.heappop
             count = 0
             while overflow and overflow[0][0] < end:
-                time, _seq, event = pop(overflow)
+                time, _seq, callback, args = heappop(overflow)
                 bucket = ring[time & mask]
                 if not bucket:
                     heappush(times, time)
                 if bucket is None:
-                    ring[time & mask] = [event]
+                    ring[time & mask] = [callback, args]
                 else:
-                    bucket.append(event)
+                    bucket.append(callback)
+                    bucket.append(args)
                 count += 1
             self._ring_count += count
 
@@ -467,83 +369,40 @@ class Scheduler:
         self._ring_count += moved
         return True
 
-    def step(self) -> bool:
-        """Run the next event.  Returns False if the queue is empty."""
-        while True:
-            located = self._locate()
-            if located is None:
-                return False
-            t, bucket = located
-            assert bucket is not None  # no limit passed
-            i = 0
-            n = len(bucket)
-            while i < n:
-                record = bucket[i]
-                if record.__class__ is not Event:
-                    args = bucket[i + 1]
-                    i += 2
-                    self._ring_count -= 1
-                    del bucket[:i]
-                    self.now = t
-                    self._events_processed += 1
-                    record(*args)
-                    if not bucket:
-                        self._splice_late(t, bucket)
-                    return True
-                i += 1
-                self._ring_count -= 1
-                record._sched = None
-                if record.cancelled:
-                    self._cancelled -= 1
-                    continue
-                del bucket[:i]
-                self.now = t
-                self._events_processed += 1
-                record.callback(*record.args)
-                if not bucket:
-                    self._splice_late(t, bucket)
-                return True
-            del bucket[:n]
-            self._splice_late(t, bucket)
-
     def run(
         self,
         until: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
         max_events: Optional[int] = None,
-        stop_interval: int = 1,
     ) -> None:
         """Run events until the queue drains or a bound is hit.
 
         This is the simulator's innermost loop (tens of thousands of
         iterations per run): buckets are drained with a plain index
-        walk over the flat records, and cancelled events are skipped
-        without touching ``now`` or the counters.
+        walk over the flat record pairs.
 
         Args:
             until: stop once simulated time would exceed this cycle.
-            stop_when: predicate polled after events; stops when true.
+                If the next event lies beyond ``until``, ``now`` is set
+                to ``until``; if the queue drains first, ``now`` stays
+                at the last event run (``post(3); run(until=100)``
+                leaves ``now == 3``).
+            stop_when: predicate polled after every event; stops when
+                true.
             max_events: hard cap on the number of callbacks executed
                 (guards against runaway simulations in tests).
-            stop_interval: poll ``stop_when`` only every N executed
-                events (default 1 = every event).  Lets callers hoist a
-                cheap-but-not-free predicate out of the per-event path.
         """
         locate = self._locate
         ring = self._ring
         mask = self._mask
         ring_size = self._ring_size
-        # Countdown twin of ``done % stop_interval == 0`` — one
-        # decrement-and-test per event instead of a modulo.
-        poll_in = stop_interval
-        # ``events_processed`` is flushed from this local at bucket
-        # boundaries and on every exit (the ``finally`` covers early
-        # returns, the max_events raise, and callback exceptions);
-        # nothing observes the counter mid-run, so batching it off the
-        # per-event path is free.  ``_ring_count`` by contrast *is*
+        # ``events_processed`` is flushed from this local on every exit
+        # (the ``finally`` covers early returns, the max_events raise,
+        # and callback exceptions); nothing observes the counter
+        # mid-run, so batching it off the per-event path is free.  ``_ring_count`` by contrast *is*
         # decremented per record: callbacks may poll ``pending()`` and
-        # must never see already-run events, matching the old heap
-        # kernel's pop-then-execute accounting.
+        # must never see already-run events, matching a heap's
+        # pop-then-execute accounting.
         done = 0
         try:
             while True:
@@ -601,32 +460,18 @@ class Scheduler:
                             if not self._splice_late(t, bucket):
                                 break
                             n = len(bucket)
-                    record = bucket[i]
-                    if record.__class__ is not Event:
-                        args = bucket[i + 1]
-                        i += 2
-                        self._ring_count -= 1
-                        self.now = t
-                        done += 1
-                        record(*args)
-                    else:
-                        i += 1
-                        self._ring_count -= 1
-                        record._sched = None
-                        if record.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        self.now = t
-                        done += 1
-                        record.callback(*record.args)
-                    poll_in -= 1
-                    if poll_in == 0:
-                        poll_in = stop_interval
-                        if stop_when is not None and stop_when():
-                            del bucket[:i]
-                            if not bucket:
-                                self._splice_late(t, bucket)
-                            return
+                    callback = bucket[i]
+                    args = bucket[i + 1]
+                    i += 2
+                    self._ring_count -= 1
+                    self.now = t
+                    done += 1
+                    callback(*args)
+                    if stop_when is not None and stop_when():
+                        del bucket[:i]
+                        if not bucket:
+                            self._splice_late(t, bucket)
+                        return
                     if max_events is not None and done >= max_events:
                         del bucket[:i]
                         if not bucket:
@@ -638,279 +483,3 @@ class Scheduler:
         finally:
             self._events_processed += done
 
-
-class LegacyScheduler:
-    """The pre-flat object/tuple calendar-queue kernel.
-
-    Kept as the ``REPRO_FLAT_KERNEL=0`` escape hatch and as the
-    object-``Event`` reference implementation for equivalence tests:
-    hot ``post`` records are ``(callback, args)`` wrapper tuples, the
-    drain cursor walks empty buckets one cycle at a time, and all
-    counters are maintained per event.  Behaviour (event order, time
-    labels, ``pending()``, ``events_processed``) is bit-identical to
-    :class:`Scheduler`.
-    """
-
-    __slots__ = (
-        "_ring",
-        "_mask",
-        "_ring_size",
-        "_ring_count",
-        "_cancelled",
-        "_overflow",
-        "_window_end",
-        "_counter",
-        "now",
-        "_events_processed",
-        "_late",
-        "_late_count",
-        "_halted",
-    )
-
-    def __init__(self, ring_size: int = RING_SIZE) -> None:
-        if ring_size <= 0 or ring_size & (ring_size - 1):
-            raise SimulationError("ring_size must be a power of two")
-        self._ring: List[list] = [[] for _ in range(ring_size)]
-        self._mask = ring_size - 1
-        self._ring_size = ring_size
-        self._ring_count = 0
-        self._cancelled = 0
-        self._overflow: List[Tuple[int, int, Event]] = []
-        self._window_end = ring_size
-        self._counter = itertools.count()
-        self.now = 0
-        self._events_processed = 0
-        self._late: dict = {}
-        self._late_count = 0
-        self._halted = False
-
-    events_processed = Scheduler.events_processed
-    obs_snapshot = Scheduler.obs_snapshot
-    pending = Scheduler.pending
-    halt = Scheduler.halt
-
-    def at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self.now}"
-            )
-        event = Event(time, next(self._counter), callback, args, self)
-        if time < self._window_end:
-            self._ring[time & self._mask].append(event)
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, event.seq, event))
-        return event
-
-    def after(self, delay: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, callback, *args)
-
-    def post(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """No-handle fast path: in-window records are bare
-        ``(callback, args)`` tuples (no :class:`Event`, no sequence
-        number); out-of-window posts fall back to an overflow
-        :class:`Event`."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        if time < self._window_end:
-            self._ring[time & self._mask].append((callback, args))
-            self._ring_count += 1
-        else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
-
-    def post_at(self, time: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Absolute-time twin of :meth:`post` (past times rejected)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self.now}"
-            )
-        if time < self._window_end:
-            self._ring[time & self._mask].append((callback, args))
-            self._ring_count += 1
-        else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
-
-    def post_late(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Late-lane twin of :meth:`Scheduler.post_late` (records are
-        ``(callback, args)`` tuples, matching this kernel's bucket
-        shape; ordering contract identical)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        lane = self._late.get(time)
-        if lane is None:
-            self._late[time] = lane = []
-            self.post_at(time, _noop)
-        lane.append((callback, args))
-        self._late_count += 1
-
-    def _splice_late(self, t: int, bucket: list) -> bool:
-        """Move cycle ``t``'s late lane into its exhausted bucket."""
-        if not self._late:
-            return False
-        lane = self._late.pop(t, None)
-        if lane is None:
-            return False
-        bucket.extend(lane)
-        moved = len(lane)  # one tuple per record
-        self._late_count -= moved
-        self._ring_count += moved
-        return True
-
-    def _locate(
-        self, limit: Optional[int] = None
-    ) -> Optional[Tuple[int, Optional[list]]]:
-        """Cursor to the next non-empty bucket, walking the ring one
-        cycle at a time (see :meth:`Scheduler._locate` for contract)."""
-        ring = self._ring
-        mask = self._mask
-        overflow = self._overflow
-        while True:
-            if self._ring_count:
-                t = self.now
-                start = self._window_end - self._ring_size
-                if start > t:
-                    t = start
-                bucket = ring[t & mask]
-                while not bucket:
-                    t += 1
-                    bucket = ring[t & mask]
-                return t, bucket
-            if not overflow:
-                self._window_end = self.now + self._ring_size
-                return None
-            first = overflow[0][0]
-            if limit is not None and first > limit:
-                return first, None
-            end = first + self._ring_size
-            self._window_end = end
-            pop = heapq.heappop
-            count = 0
-            while overflow and overflow[0][0] < end:
-                time, _seq, event = pop(overflow)
-                ring[time & mask].append(event)
-                count += 1
-            self._ring_count += count
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False if the queue is empty."""
-        while True:
-            located = self._locate()
-            if located is None:
-                return False
-            t, bucket = located
-            assert bucket is not None  # no limit passed
-            i = 0
-            n = len(bucket)
-            while i < n:
-                event = bucket[i]
-                i += 1
-                self._ring_count -= 1
-                if event.__class__ is tuple:
-                    del bucket[:i]
-                    self.now = t
-                    self._events_processed += 1
-                    event[0](*event[1])
-                    if not bucket:
-                        self._splice_late(t, bucket)
-                    return True
-                event._sched = None
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                del bucket[:i]
-                self.now = t
-                self._events_processed += 1
-                event.callback(*event.args)
-                if not bucket:
-                    self._splice_late(t, bucket)
-                return True
-            del bucket[:n]
-            self._splice_late(t, bucket)
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-        stop_interval: int = 1,
-    ) -> None:
-        """Run events until the queue drains or a bound is hit
-        (contract identical to :meth:`Scheduler.run`)."""
-        locate = self._locate
-        executed = 0
-        poll_in = stop_interval
-        while True:
-            if self._halted:
-                self._halted = False
-                return
-            located = locate(until)
-            if located is None:
-                return
-            t, bucket = located
-            if until is not None and t > until:
-                self.now = until
-                return
-            i = 0
-            n = len(bucket)
-            while True:
-                if i == n:
-                    n = len(bucket)
-                    if i == n:
-                        if not self._splice_late(t, bucket):
-                            break
-                        n = len(bucket)
-                event = bucket[i]
-                i += 1
-                self._ring_count -= 1
-                if event.__class__ is tuple:
-                    self.now = t
-                    self._events_processed += 1
-                    executed += 1
-                    event[0](*event[1])
-                else:
-                    event._sched = None
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self.now = t
-                    self._events_processed += 1
-                    executed += 1
-                    event.callback(*event.args)
-                poll_in -= 1
-                if poll_in == 0:
-                    poll_in = stop_interval
-                    if stop_when is not None and stop_when():
-                        del bucket[:i]
-                        if not bucket:
-                            self._splice_late(t, bucket)
-                        return
-                if max_events is not None and executed >= max_events:
-                    del bucket[:i]
-                    if not bucket:
-                        self._splice_late(t, bucket)
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at cycle {self.now}"
-                    )
-            del bucket[:]
-
-
-def make_scheduler(ring_size: int = RING_SIZE):
-    """Build the kernel selected by ``REPRO_FLAT_KERNEL``.
-
-    The flat kernel is the default; setting ``REPRO_FLAT_KERNEL=0``
-    swaps in :class:`LegacyScheduler` — the escape hatch CI and the
-    equivalence tests use to pin down bit-identity between the two.
-    The variable is read per call so tests can flip kernels without
-    re-importing the world.
-    """
-    if os.environ.get("REPRO_FLAT_KERNEL", "1") == "0":
-        return LegacyScheduler(ring_size)
-    return Scheduler(ring_size)

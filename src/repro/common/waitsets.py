@@ -46,8 +46,9 @@ per-episode stall counters belong to the parking site (see
 ``Core._vc_stall_flag``).
 
 Parked waiters are **not** scheduler events: ``Scheduler.pending()``
-never counts them (parked, cancelled, or otherwise) — only the single
-per-cycle agenda record armed waiters share, which always runs.
+never counts them — only the single per-cycle agenda record armed
+waiters share.  An episode ends only by a successful check; there is
+no way to abandon one.
 """
 
 from __future__ import annotations
@@ -76,13 +77,11 @@ class Waiter:
         "ws",
         "callback",
         "args",
-        "period",
         "seq",
         "anchor",
         "start",
         "parked",
         "armed",
-        "cancelled",
     )
 
     def __init__(
@@ -90,24 +89,21 @@ class Waiter:
         ws: "WaitSet",
         callback: Callable[..., Any],
         args: tuple,
-        period: int,
         seq: int,
         now: int,
     ) -> None:
         self.ws = ws
         self.callback = callback
         self.args = args
-        self.period = period
         self.seq = seq
         #: Retry-grid origin; reset at every park so the next check
-        #: lands at ``anchor + period`` (grid-preserving: uniform
+        #: lands at ``anchor + RETRY_PERIOD`` (grid-preserving: uniform
         #: period).
         self.anchor = now
         #: Episode start, for the wait-duration histogram.
         self.start = now
         self.parked = True
         self.armed = False
-        self.cancelled = False
 
     def __lt__(self, other: "Waiter") -> bool:
         return self.seq < other.seq
@@ -128,14 +124,9 @@ class WaitSet:
         self.hub = hub
         self.waiters: List[Waiter] = []
 
-    def park(
-        self,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        period: int = RETRY_PERIOD,
-    ) -> Waiter:
+    def park(self, callback: Callable[..., Any], args: tuple = ()) -> Waiter:
         """Park ``callback(*args)`` until notified (or next poll)."""
-        return self.hub.park(self, callback, args, period)
+        return self.hub.park(self, callback, args)
 
     def notify(self) -> None:
         """Signal that this set's condition may have become true."""
@@ -202,11 +193,7 @@ class WakeHub:
         self._wait_max = 0
 
     def park(
-        self,
-        ws: WaitSet,
-        callback: Callable[..., Any],
-        args: tuple,
-        period: int = RETRY_PERIOD,
+        self, ws: WaitSet, callback: Callable[..., Any], args: tuple
     ) -> Waiter:
         """Park a check; returns its (new or already-live) waiter."""
         now = self._sched.now
@@ -221,21 +208,21 @@ class WakeHub:
             self.spurious_wakeups += 1
             self.parked_now += 1
             if self.poll_mode:
-                self._arm(w, now + w.period)
+                self._arm(w, now + RETRY_PERIOD)
             return w
         # At-most-one pending retry per record: a second park of a
         # live check (e.g. two paths kicking the same stalled pump)
         # must not stack another episode.
         for w in ws.waiters:
-            if not w.cancelled and w.callback == callback and w.args == args:
+            if w.callback == callback and w.args == args:
                 return w
-        w = Waiter(ws, callback, args, period, self._seq, now)
+        w = Waiter(ws, callback, args, self._seq, now)
         self._seq += 1
         ws.waiters.append(w)
         self.waits_parked += 1
         self.parked_now += 1
         if self.poll_mode:
-            self._arm(w, now + period)
+            self._arm(w, now + RETRY_PERIOD)
         return w
 
     def notify(self, ws: WaitSet) -> None:
@@ -247,10 +234,10 @@ class WakeHub:
         if not waiters:
             return
         now = self._sched.now
+        p = RETRY_PERIOD
         for w in waiters:
-            if w.armed or w.cancelled:
+            if w.armed:
                 continue
-            p = w.period
             # First grid point >= now (and > anchor): the first poll
             # that would have observed this change.
             k = -((w.anchor - now) // p)
@@ -276,21 +263,6 @@ class WakeHub:
             else:
                 self._arm(w, now)
 
-    def cancel(self, w: Waiter) -> None:
-        """Abandon a parked episode.  Idempotent; armed slots are
-        reaped lazily by their agenda (never counted by
-        ``Scheduler.pending()`` either way)."""
-        if w.cancelled:
-            return
-        w.cancelled = True
-        if w.parked:
-            w.parked = False
-            self.parked_now -= 1
-            try:
-                w.ws.waiters.remove(w)
-            except ValueError:
-                pass
-
     def _arm(self, w: Waiter, t: int) -> None:
         w.armed = True
         due = self._due.get(t)
@@ -310,8 +282,7 @@ class WakeHub:
             w = heappop(heap)
             self._cursor = w.seq
             w.armed = False
-            if w.cancelled or not w.parked:
-                continue
+            # Armed implies parked: only this loop unparks a waiter.
             w.parked = False
             self.parked_now -= 1
             w.ws.waiters.remove(w)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.common.events import LegacyScheduler, Scheduler
+from repro.common.events import Scheduler
 from repro.common.waitsets import WaitSet, WakeHub
 
 
-@pytest.fixture(params=[Scheduler, LegacyScheduler], ids=["flat", "legacy"])
-def sched(request):
-    return request.param()
+@pytest.fixture
+def sched():
+    return Scheduler()
 
 
 def make_hub(sched, poll_mode=False):
@@ -174,25 +174,6 @@ class TestWakeups:
         assert len(ws.waiters) == 1
         assert hub.waits_parked == 1
 
-    def test_cancel_is_idempotent_and_skips_armed_slot(self, sched):
-        hub = make_hub(sched)
-        ws = WaitSet(hub)
-        log = []
-        gate = Gate(ws, log, "g")
-        w = ws.park(gate.check)
-        sched.post(1, ws.notify)  # arms the cycle-2 agenda
-
-        def drop():
-            hub.cancel(w)
-            hub.cancel(w)
-
-        sched.post(1, drop)
-        sched.run()
-        assert log == []
-        assert hub.parked_now == 0
-        assert ws.waiters == []
-        assert sched.pending() == 0
-
     def test_parked_waiters_are_not_pending_events(self, sched):
         hub = make_hub(sched)
         ws = WaitSet(hub)
@@ -228,11 +209,11 @@ class TestWakeups:
         assert checks == [0, 2, 4, 6, 8, 10]
         assert hub.notifies == 1 and hub.wakes == 1
 
-    def test_wake_and_poll_check_cycles_match(self, sched):
+    def test_wake_and_poll_check_cycles_match(self):
         # The architectural core of the mode identity: the successful
         # check runs at the same cycle in both regimes.
         def run(poll_mode):
-            s = sched.__class__()
+            s = Scheduler()
             hub = make_hub(s, poll_mode=poll_mode)
             ws = WaitSet(hub)
             log = []

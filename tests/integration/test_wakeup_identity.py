@@ -108,12 +108,3 @@ class TestWakeupIdentity:
         poll_cycles, poll_image = image(poll=True)
         assert wake_cycles == poll_cycles
         assert wake_image == poll_image
-
-    def test_identity_holds_on_legacy_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLAT_KERNEL", "0")
-        spec = RunSpec(
-            SystemConfig.protected(num_nodes=2).with_seed(3), "oltp", 40
-        )
-        wake = run_mode(spec, monkeypatch, poll=False)
-        poll = run_mode(spec, monkeypatch, poll=True)
-        assert stripped(wake) == stripped(poll)

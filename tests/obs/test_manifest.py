@@ -49,9 +49,8 @@ class TestRunManifest:
 
 class TestRegimeFlags:
     def test_key_set(self):
-        assert SCHEMA_VERSION == 3
+        assert SCHEMA_VERSION == 4
         assert sorted(regime_flags({})) == [
-            "flat_kernel",
             "obs",
             "obs_spans",
             "obs_spans_cap",
@@ -61,13 +60,13 @@ class TestRegimeFlags:
         ]
 
     def test_defaults_and_overrides(self):
-        assert regime_flags({})["flat_kernel"] is True
         assert regime_flags({})["poll"] is False
-        flags = regime_flags({"REPRO_FLAT_KERNEL": "0", "REPRO_POLL": "1"})
-        assert flags["flat_kernel"] is False and flags["poll"] is True
+        assert regime_flags({"REPRO_POLL": "1"})["poll"] is True
 
     def test_retired_regime_variables_are_not_recorded(self):
-        flags = regime_flags({"REPRO_HOPS": "1", "REPRO_EAGER_CHECK": "1"})
+        flags = regime_flags(
+            {"REPRO_HOPS": "1", "REPRO_EAGER_CHECK": "1", "REPRO_FLAT_KERNEL": "0"}
+        )
         assert flags == regime_flags({})
 
 
