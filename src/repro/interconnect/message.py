@@ -165,8 +165,7 @@ class Message:
 #
 # Module-level (per process; parallel workers each get their own).  The
 # pool is bounded so a pathological run cannot pin unbounded garbage,
-# and the counters feed bench_perf's ``messages_allocated`` /
-# ``msg_pool_reuse_pct`` fields plus the obs network layer.
+# and the counters feed the network layer's ``obs_snapshot``.
 
 _POOL: List[Message] = []
 _POOL_CAP = 1024

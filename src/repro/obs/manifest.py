@@ -3,9 +3,10 @@
 A manifest pins down everything needed to reproduce (or refuse to
 compare) a result: the exact configuration (content hash), the seed,
 the code version (git sha and the same source fingerprint the result
-cache keys on), and the interpreter/platform that produced it.  The
-bench CI job writes one next to every ``BENCH_perf.json`` so perf
-numbers are never compared across unknown code or machines.
+cache keys on), and the interpreter/platform that produced it.
+``repro.cli run --obs --obs-dir DIR`` writes one next to the run's
+metrics snapshot so its numbers are never compared across unknown code
+or machines.
 
 Manifests are deterministic for a fixed (config, seed, code,
 interpreter): no timestamps, no absolute paths — the unit tests assert

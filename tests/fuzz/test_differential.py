@@ -1,6 +1,9 @@
 """Differential fuzz driver tests: classification, codecs, campaigns."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,10 @@ from repro.fuzz import (
     write_reproducer,
 )
 from repro.workloads.litmus_gen import classics
+
+SUMMARY = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "bench_summary.py"
+)
 
 
 def test_classify_matrix():
@@ -72,11 +79,18 @@ def test_plan_campaign_shape_and_determinism():
     assert len(randoms) == 2
 
 
-def test_small_campaign_runs_clean(tmp_path):
+@pytest.fixture(scope="module")
+def small_campaign(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("campaign")
     cases = plan_campaign(litmus_count=6, fault_runs=1, random_runs=1, seed=5)
     report = run_fuzz_campaign(
         cases, jobs=1, corpus_dir=str(tmp_path), reproducer_dir=str(tmp_path)
     )
+    return cases, report
+
+
+def test_small_campaign_runs_clean(small_campaign):
+    cases, report = small_campaign
     assert report.summary["cases"] == len(cases)
     assert report.summary["missed_violation"] == 0
     # online_only is legitimate for the fault-injected case (DVMC
@@ -110,6 +124,29 @@ def test_small_campaign_runs_clean(tmp_path):
         "fuzz.trace.events",
     ]
     assert hub["histograms"]["fuzz.trace.events"]["count"] == len(cases)
+
+
+def test_fuzz_summary_renders_stats_file(small_campaign, tmp_path):
+    _, report = small_campaign
+    stats = tmp_path / "fuzz_stats.json"
+    # Written exactly as ``repro.cli fuzz --stats-out`` writes it.
+    stats.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    done = subprocess.run(
+        [sys.executable, SUMMARY, "--fuzz", str(stats)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    rows = [line for line in lines if line.startswith("| `")]
+    keys = ["cases"] + list(report.outcomes)
+    assert rows == [f"| `{key}` | {report.summary[key]:,} |" for key in keys]
+    assert (
+        f"**Mismatches**: {len(report.mismatches)} total, "
+        f"{len(report.new_mismatches)} new "
+        f"(corpus holds {report.corpus_size:,} known reproducers); "
+        f"campaign took {report.elapsed_seconds} s"
+    ) in lines
 
 
 def test_reproducer_file_name_is_stable(tmp_path):

@@ -1,10 +1,13 @@
 """Observability must never change results: obs on == obs off, bit for bit.
 
-The acceptance property of the observability plane (and the reason the
-benchmark's ``identical`` flag folds in an observed pass): enabling
+The acceptance property of the observability plane: enabling
 ``REPRO_OBS`` / ``REPRO_OBS_TRACE`` yields the same violations, the
 same stats counters, and the same cycle count as an unobserved run.
+RunMetrics identity is checked on every point of the {Base, DVMC} x
+{oltp, jbb} mix.
 """
+
+import pytest
 
 from repro.config import SystemConfig
 from repro.parallel import (
@@ -19,6 +22,14 @@ from repro.verify.trace import Trace, load_jsonl, record_program
 from repro.workloads.suite import make_program
 
 SPEC = RunSpec(SystemConfig.protected().with_seed(3), "oltp", 80)
+MIX = [
+    pytest.param(RunSpec(config.with_seed(3), workload, 80), id=f"{name}-{workload}")
+    for name, config in (
+        ("base", SystemConfig.unprotected()),
+        ("dvmc", SystemConfig.protected()),
+    )
+    for workload in ("oltp", "jbb")
+]
 
 
 def run_reports(config, workload="oltp", ops=80):
@@ -32,11 +43,12 @@ def run_reports(config, workload="oltp", ops=80):
 
 
 class TestObsIdentity:
-    def test_metrics_bit_identical_when_observed(self, monkeypatch):
+    @pytest.mark.parametrize("spec", MIX)
+    def test_metrics_bit_identical_when_observed(self, monkeypatch, spec):
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        base = execute_run_spec(SPEC)
+        base = execute_run_spec(spec)
         monkeypatch.setenv("REPRO_OBS", "1")
-        observed = execute_run_spec(SPEC)
+        observed = execute_run_spec(spec)
         # Full deterministic payload: cycles, completion, violations,
         # events and every stats counter (RunMetrics equality covers
         # all of them; the obs field is excluded by design).

@@ -104,6 +104,20 @@ class TestRunPointsWithCache:
         assert (cache.hits, cache.misses) == (2, 2)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(
+                RunSpec(config.with_nodes(4).with_seed(3), workload, ops=30),
+                id=f"{name}-{workload}",
+            )
+            for name, config in (
+                ("base", SystemConfig.unprotected()),
+                ("dvmc", SystemConfig.protected()),
+            )
+            for workload in ("oltp", "jbb")
+        ],
+    )
     def test_cached_equals_uncached(self, spec, cache):
         cached = run_points([spec], jobs=1, cache=cache)
         fresh = run_points([spec], jobs=1)
