@@ -133,19 +133,21 @@ class AllowableReorderingChecker:
         if op_type.is_memory_access():
             self._outstanding[seq] = (op_type, cycle)
 
-    def performed(self, op_type: OpType, seq: int, mask: MembarMask) -> None:
-        """An operation performed; check it against the ordering table."""
+    def performed(
+        self, op_type: OpType, seq: int, mask: MembarMask, tid: int = 0
+    ) -> None:
+        """An operation performed; check it against the ordering table.
+
+        ``tid`` is the op's flight-recorder trace id (0 when untraced).
+        """
         cycle = self.scheduler.now
         self._outstanding.pop(seq, None)
-        s = self.spans
-        if s is not None:
-            tid = s.tid_for(self.node, seq)
-            if tid:
-                # The AR verdict point: this op's reorder window closed.
-                s.instant(
-                    tid, self._span_track, K_AR, cycle,
-                    _OP_CODE[op_type], seq, self.node,
-                )
+        if tid:
+            # The AR verdict point: this op's reorder window closed.
+            self.spans.instant(
+                tid, self._span_track, K_AR, cycle,
+                _OP_CODE[op_type], seq, self.node,
+            )
         table = self.table()
         key = (table, op_type, mask)
         plan = self._plans.get(key)

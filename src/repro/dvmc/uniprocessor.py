@@ -116,11 +116,12 @@ class UniprocessorOrderingChecker:
         self._span_track = spans.track("checker.uo")
 
     # -- store path --------------------------------------------------------
-    def commit_store(self, seq: int, addr: int, value: int) -> bool:
+    def commit_store(self, seq: int, addr: int, value: int, tid: int = 0) -> bool:
         """Replay a committed store into the VC.
 
         Returns False when the VC is full of live store entries; the
-        verification stage must stall and retry (backpressure).
+        verification stage must stall and retry (backpressure).  ``tid``
+        is the store's flight-recorder trace id (0 when untraced).
         """
         word = word_of(addr)
         entry = self._vc.get(word)
@@ -138,13 +139,10 @@ class UniprocessorOrderingChecker:
         entry.load_seq = None
         entry.store_seq = seq
         self._values[self._h_store_allocs] += 1
-        s = self.spans
-        if s is not None:
-            tid = s.tid_for(self.node, seq)
-            if tid:
-                s.instant(
-                    tid, self._span_track, K_UO, now, addr, seq, self.node
-                )
+        if tid:
+            self.spans.instant(
+                tid, self._span_track, K_UO, now, addr, seq, self.node
+            )
         return True
 
     def store_performed(self, seq: int, addr: int, value_written: int) -> None:

@@ -404,10 +404,15 @@ class Core:
         ) and rec.ord_row[self._store_si]
         s = self.spans
         if s is not None:
-            rec.tid = s.new_op(
-                self._span_track, self.node, _SPAN_OP_CLASS[kind],
-                rec.addr, rec.seq, self.scheduler.now,
-            )
+            # The sampling stride is tested here: an unsampled op makes
+            # no call into the recorder.
+            if s.skip:
+                s.skip -= 1
+            else:
+                rec.tid = s.new_op(
+                    self._span_track, self.node, _SPAN_OP_CLASS[kind],
+                    rec.addr, rec.seq, self.scheduler.now,
+                )
         self._inflight.append(rec)
         self._values[self._ops_h[kind]] += 1
         rec.release = self._release_single
@@ -438,10 +443,13 @@ class Core:
                 or kind is OpType.STBAR
             ) and rec.ord_row[self._store_si]
             if spans is not None:
-                rec.tid = spans.new_op(
-                    self._span_track, self.node, _SPAN_OP_CLASS[kind],
-                    rec.addr, rec.seq, self.scheduler.now,
-                )
+                if spans.skip:
+                    spans.skip -= 1
+                else:
+                    rec.tid = spans.new_op(
+                        self._span_track, self.node, _SPAN_OP_CLASS[kind],
+                        rec.addr, rec.seq, self.scheduler.now,
+                    )
             self._inflight.append(rec)
             recs.append(rec)
             values[ops_h[kind]] += 1
@@ -793,7 +801,7 @@ class Core:
                 self._schedule_verify_retry()
                 return False
         if kind is OpType.STORE:
-            if not self.uo.commit_store(rec.seq, rec.addr, rec.value):
+            if not self.uo.commit_store(rec.seq, rec.addr, rec.value, rec.tid):
                 if not self._vc_stall_flag:
                     self._vc_stall_flag = True
                     self._incr(f"{self._stat}.vc_full_stalls")
@@ -910,7 +918,7 @@ class Core:
         if s is not None and rec.tid:
             s.op_touch(rec.tid, self.scheduler.now)
         if self.ar is not None:
-            self.ar.performed(rec.op_type, rec.seq, rec.mask)
+            self.ar.performed(rec.op_type, rec.seq, rec.mask, rec.tid)
         # Something became globally visible: every ordering gate
         # (atomics, barriers, blocked loads, the verify pump) may now
         # pass.
@@ -958,7 +966,7 @@ class Core:
             self._mark_performed(rec)
         elif self.ar is not None:
             # Already retired from the ROB; notify the checker directly.
-            self.ar.performed(OpType.STORE, entry.seq, MembarMask.ALL)
+            self.ar.performed(OpType.STORE, entry.seq, MembarMask.ALL, entry.tid)
         self._kick()
 
     def _find_rec(self, seq: int) -> Optional[OpRec]:

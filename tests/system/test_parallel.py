@@ -16,7 +16,7 @@ from repro.parallel import (
     resolve_jobs,
     run_points,
 )
-from repro.system.experiments import measure
+from repro.system.experiments import measure, replica_specs
 
 
 def _double(spec):
@@ -86,13 +86,25 @@ class TestRunPoints:
 
 
 class TestMeasureDeterminism:
-    def test_parallel_equals_serial(self):
-        """jobs=4 and jobs=1 produce identical Measurement fields
-        (guards the orchestrator's ordering guarantee)."""
-        config = SystemConfig.protected(num_nodes=2)
-        serial = measure(config, "jbb", ops=40, seeds=2, jobs=1)
-        parallel = measure(config, "jbb", ops=40, seeds=2, jobs=4)
-        assert dataclasses.asdict(serial) == dataclasses.asdict(parallel)
+    @pytest.mark.parametrize(
+        "config, workload",
+        [
+            pytest.param(config, workload, id=f"{name}-{workload}")
+            for name, config in (
+                ("base", SystemConfig.unprotected(num_nodes=2)),
+                ("dvmc", SystemConfig.protected(num_nodes=2)),
+            )
+            for workload in ("oltp", "jbb")
+        ],
+    )
+    def test_parallel_equals_serial(self, config, workload):
+        """jobs=2 and jobs=1 produce identical RunMetrics spec by spec
+        (guards the orchestrator's ordering guarantee) on every point of
+        the {Base, DVMC} x {oltp, jbb} mix."""
+        specs = replica_specs(config, workload, ops=40, seeds=2)
+        assert run_points(specs, jobs=2, cache=False) == run_points(
+            specs, jobs=1, cache=False
+        )
 
     def test_env_jobs_equals_serial(self, monkeypatch):
         config = SystemConfig.unprotected(num_nodes=2)
